@@ -60,6 +60,7 @@ from .sequences import (
     ampliate,
     decimate,
     eval_log,
+    eval_log_many,
     evaluate,
     finite,
     geometric,

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .growth import class_big_o, class_little_o, profile
-from .sequences import SeqExpr, eval_log, evaluate, support
+from .sequences import SeqExpr, eval_log_many, evaluate, support
 
 
 class Outcome(str, Enum):
@@ -92,6 +92,11 @@ class Settings:
     with constant = twice the observed supremum, a monotone blow-up past
     ``divergence_threshold`` yields No, a ratio stuck above
     ``vanishing_threshold`` refutes little-o, and anything else is Unknown.
+
+    Symbolic Yes verdicts carry the same kind of constant (see
+    ``observed_constant``): ``constant_factor`` times the supremum sampled
+    over the head 1..1024 plus ``2 * sample_count`` geometric samples of the
+    window.  It is sampled, not a proven bound.
     """
 
     window_lo: int = 16
@@ -129,20 +134,24 @@ def sample_indices(lo: int, hi: int, count: int) -> list[int]:
     return sorted(out)
 
 
-def _ratio_log(a: SeqExpr, b: SeqExpr, n: int, both_zero: float) -> float:
-    """log(a_n / b_n); ``both_zero`` supplies the 0/0 convention."""
-    la, lb = eval_log(a, n), eval_log(b, n)
-    if la == -math.inf and lb == -math.inf:
-        return both_zero
-    if lb == -math.inf:
-        return math.inf
-    if la == -math.inf:
-        return -math.inf
-    return la - lb
+def _ratio_logs(a: SeqExpr, b: SeqExpr, ns: list[int], both_zero: float) -> list[float]:
+    """log(a_n / b_n) for every n in ns; ``both_zero`` supplies the 0/0 convention.
+
+    Each side is walked once for the whole index list.
+    """
+    return [
+        la - lb if lb > -math.inf else (both_zero if la == -math.inf else math.inf)
+        for la, lb in zip(eval_log_many(a, ns), eval_log_many(b, ns))
+    ]
 
 
 def observed_supremum(a: SeqExpr, b: SeqExpr, settings: Settings) -> float:
-    """sup of a_n/b_n over a dense head plus the sampled window (as a float)."""
+    """sup of a_n/b_n over a dense head plus the sampled window (as a float).
+
+    The head is 1..1024 (extended to the support of a when that is finite);
+    the window adds ``2 * sample_count`` geometric samples.  The maximum is
+    taken on the log scale, so ``exp`` runs once.
+    """
     hi = settings.window_hi
     head = min(hi, 1024)
     sup_a = support(a)
@@ -150,14 +159,10 @@ def observed_supremum(a: SeqExpr, b: SeqExpr, settings: Settings) -> float:
         head = min(hi, max(head, sup_a))
     idx = list(range(1, head + 1))
     idx += sample_indices(settings.window_lo, hi, 2 * settings.sample_count)
-    best = 0.0
-    for n in sorted(set(idx)):
-        r = _ratio_log(a, b, n, both_zero=-math.inf)
-        if r == math.inf:
-            return math.inf
-        if r > -math.inf:
-            best = max(best, math.exp(min(r, 700.0)))
-    return best
+    best = max(_ratio_logs(a, b, sorted(set(idx)), both_zero=-math.inf))
+    if best == -math.inf:
+        return 0.0
+    return math.inf if best == math.inf else math.exp(min(best, 700.0))
 
 
 def rational_ceiling(x: float) -> Fraction:
@@ -171,17 +176,47 @@ def rational_ceiling(x: float) -> Fraction:
 
 
 def observed_constant(a: SeqExpr, b: SeqExpr, settings: Settings) -> Fraction:
+    """The witness constant of a Yes: ``constant_factor`` times the sampled supremum.
+
+    With the default settings this is twice the supremum of a_n/b_n over the
+    head 1..1024 plus 128 geometric samples of the window.  It is sampled,
+    not a proven bound: ``big_o(pow(1), sum(pow(1),scale(1000,pow(1,1/4))))``
+    answers Yes with C ~ 0.00385, while the ratio tends to 1 (it is already
+    0.0051 at n = 1e300).
+    """
     sup = observed_supremum(a, b, settings)
     return rational_ceiling(settings.constant_factor * max(sup, 1e-30))
 
 
 def _tail_samples(a: SeqExpr, b: SeqExpr, settings: Settings, count: int = 4) -> tuple:
     ns = sample_indices(settings.window_lo, settings.window_hi, settings.sample_count)[-count:]
-    out = []
-    for n in ns:
-        r = _ratio_log(a, b, n, both_zero=0.0)
-        out.append((n, math.exp(min(r, 700.0)) if r > -math.inf else 0.0))
-    return tuple(out)
+    rs = _ratio_logs(a, b, ns, both_zero=0.0)
+    return tuple((n, math.exp(min(r, 700.0)) if r > -math.inf else 0.0) for n, r in zip(ns, rs))
+
+
+def _finite_supports(a: SeqExpr, b: SeqExpr, sa: int, sb: int, strict: bool, settings: Settings) -> Verdict:
+    """Both sides finitely supported (sizes sa, sb): decide exactly, entry by entry."""
+    if strict:
+        # the tail ratio is 0/0, which never witnesses little-o
+        return Verdict.no(
+            Certificate(
+                window=(max(sa, sb), settings.window_hi),
+                note="both sides are finitely supported; the ratio does not vanish",
+            )
+        )
+    if sa > sb:
+        return Verdict.no(Certificate(window=(sb + 1, sa), note="left support exceeds right support"))
+    sup = 0.0
+    for n in range(1, sa + 1):
+        va, vb = evaluate(a, n), evaluate(b, n)
+        sup = max(sup, float(va) / float(vb))
+    return Verdict.yes(
+        Witness(
+            constant=rational_ceiling(settings.constant_factor * sup),
+            window=(1, sa),
+            note="finite supports compared pointwise",
+        )
+    )
 
 
 def _symbolic(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings) -> Verdict:
@@ -197,32 +232,7 @@ def _symbolic(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings) -> Verdi
                     note="right side vanishes beyond its support while the left side stays positive",
                 )
             )
-        if strict:
-            # the tail ratio is 0/0, which never witnesses little-o
-            return Verdict.no(
-                Certificate(
-                    window=(max(pa.support, pb.support), settings.window_hi),
-                    note="both sides are finitely supported; the ratio does not vanish",
-                )
-            )
-        if pa.support > pb.support:
-            return Verdict.no(
-                Certificate(
-                    window=(pb.support + 1, pa.support),
-                    note="left support exceeds right support",
-                )
-            )
-        sup = 0.0
-        for n in range(1, pa.support + 1):
-            va, vb = evaluate(a, n), evaluate(b, n)
-            sup = max(sup, float(va) / float(vb))
-        return Verdict.yes(
-            Witness(
-                constant=rational_ceiling(settings.constant_factor * sup),
-                window=(1, pa.support),
-                note="finite supports compared pointwise",
-            )
-        )
+        return _finite_supports(a, b, pa.support, pb.support, strict, settings)
     if pa.support is not None:
         if strict:
             return Verdict.yes(
@@ -265,10 +275,12 @@ def _numeric(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings) -> Verdic
                 note="right side eventually zero while the left side is not",
             )
         )
+    if pb.support is not None:
+        # the sampled window starts past both supports, where the ratio is 0/0
+        return _finite_supports(a, b, pa.support, pb.support, strict, settings)
     ns = sample_indices(settings.window_lo, settings.window_hi, settings.sample_count)
     ratios: list[tuple[int, float]] = []
-    for n in ns:
-        r = _ratio_log(a, b, n, both_zero=0.0)
+    for n, r in zip(ns, _ratio_logs(a, b, ns, both_zero=0.0)):
         if r == math.inf:
             return Verdict.no(
                 Certificate(window=(n, n), note=f"right side vanishes at index {n} with nonzero left side")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -82,20 +83,19 @@ def rate_cmp(a: GrowthClass, b: GrowthClass) -> int:
 def class_big_o(a: GrowthClass, b: GrowthClass) -> bool:
     """Does every sequence of class a satisfy a_n = O(b_n)?"""
     r = rate_cmp(a, b)
-    if r:
-        return r < 0
-    if a.power != b.power:
-        return a.power > b.power
-    return a.logpower >= b.logpower
+    return r < 0 if r else _power_log_dominated(a, b, strict=False)
 
 
 def class_little_o(a: GrowthClass, b: GrowthClass) -> bool:
     r = rate_cmp(a, b)
-    if r:
-        return r < 0
+    return r < 0 if r else _power_log_dominated(a, b, strict=True)
+
+
+def _power_log_dominated(a: GrowthClass, b: GrowthClass, strict: bool) -> bool:
+    """Domination of a by b (o when strict, else O) for classes of equal rate."""
     if a.power != b.power:
         return a.power > b.power
-    return a.logpower > b.logpower
+    return a.logpower > b.logpower if strict else a.logpower >= b.logpower
 
 
 def amp_class(c: GrowthClass, m: int) -> GrowthClass:
@@ -205,41 +205,94 @@ def min_ampliation_order(eta: Profile, gen: Profile, strict: bool) -> int | None
         return 1 if ok else None
     if a.base == 1:
         return None  # rate-one class never dominated by ampliated sub-one rates
-    # both rates below one: find the least m with rate(a) <=/< rate(g)^(1/m),
-    # i.e. a.base^(g.root * m) <=/< g.base^(a.root); the left side strictly
-    # decreases in m, so a float estimate plus a short exact scan suffices.
-    target = float(a.root * _rate_log(g) / (g.root * _rate_log(a)))
-    if target > 1e5:
-        # rates absurdly close: the exact scan would need gigantic powers;
-        # the float estimate is strict by a wide continuity margin
-        return math.ceil(target) + 1
-    start = max(1, math.floor(target) - 2)
-    rhs = g.base**a.root
-    step = a.base**g.root
-    limit = start + 64
-    m = start
-    lhs = step**start
-    while m <= limit:
-        if lhs < rhs:
-            return m
-        if lhs == rhs:
-            # rates tie exactly at this m; the power/log parts decide
-            cmp_ok = (
-                class_little_o(a, amp_class(g, m)) if strict else class_big_o(a, amp_class(g, m))
-            )
-            return m if cmp_ok else m + 1
-        lhs *= step
-        m += 1
-    # enormous orders (possible for rates very close to one): trust the float
-    # estimate with a safety step; the comparison is strict by continuity
-    m = max(1, math.ceil(target) + 1)
-    return m
+    # both rates below one: the least m with rate(a) <=/< rate(g)^(1/m), i.e.
+    # a.base^(g.root * m) <=/< g.base^(a.root).  Taking logs, the rates are
+    # strictly ordered on either side of t = a.root*log(g.base) / (g.root*log(a.base)),
+    # so the answer is the least integer above t, unless t is an integer at
+    # which the rates tie exactly and the power/log parts decide.  t is
+    # bracketed in floats first and in ever more decimal digits until the
+    # bracket holds no integer, or a single one at which the rates tie.
+    prec = 0
+    while True:
+        bracket = _order_bracket(a, g, prec)
+        prec = 2 * prec if prec else 40
+        if bracket is None:
+            continue
+        lo, hi = bracket
+        k = max(1, math.ceil(lo))
+        if k > hi:
+            return math.floor(hi) + 1
+        if k + 1 > hi and _rates_tie(a, g, k):
+            return k if _power_log_dominated(a, g, strict) else k + 1
 
 
-def strictly_slower(c: GrowthClass) -> GrowthClass:
-    """A class strictly above (slower-decaying than) c at every ampliation."""
-    if c.base != 1:
-        return _mk(ONE, 1, Fraction(1), Fraction(0))
-    if c.power > 0:
-        return _mk(ONE, 1, c.power / 2, Fraction(0))
-    return _mk(ONE, 1, Fraction(0), c.logpower / 2)
+def _order_bracket(a: GrowthClass, g: GrowthClass, prec: int):
+    """Bounds (lo, hi) on t = a.root*log(g.base) / (g.root*log(a.base)).
+
+    Computed in floats when ``prec`` is 0 and in ``decimal`` with ``prec``
+    digits otherwise; None when that precision cannot bound t.
+    """
+    if not prec:
+        try:
+            (la, ra), (lg, rg) = _float_log(a.base), _float_log(g.base)
+            t = a.root * lg / (g.root * la)
+        except (OverflowError, ZeroDivisionError):
+            return None
+        rel = 2 * (ra + rg) + 2.0**-48
+        if not (rel < 0.25 and math.isfinite(t)):
+            return None
+        return t - t * rel, t + t * rel
+    with localcontext() as ctx:
+        ctx.prec = prec
+        (la, ra), (lg, rg) = _decimal_log(a.base, prec), _decimal_log(g.base, prec)
+        rel = 2 * (ra + rg) + Decimal(10) ** (3 - prec)
+        if not rel < Decimal("0.25"):
+            return None
+        t = a.root * lg / (g.root * la)
+        return t - t * rel, t + t * rel
+
+
+def _float_log(base: Fraction) -> tuple[float, float]:
+    """log(base) for 0 < base < 1, with a bound on its relative error.
+
+    Near 1, ``log1p`` of the exact difference keeps full relative accuracy
+    (log(num) - log(den) would cancel) until the difference leaves the normal
+    float range; below 1/2 the difference of logs loses little.  The bounds
+    allow 2^-48, far above the few ulp the library functions are off by.
+    """
+    if base > Fraction(1, 2):
+        v = math.log1p(float(base - 1))
+        return v, (2.0**-48 if v < -(2.0**-1000) else math.inf)
+    ln, ld = math.log(base.numerator), math.log(base.denominator)
+    return ln - ld, (ln + ld) / (ld - ln) * 2.0**-48
+
+
+def _decimal_log(base: Fraction, prec: int) -> tuple[Decimal, Decimal]:
+    """log(base) for 0 < base < 1 in the current decimal context of ``prec``
+    digits, with a bound on its relative error (infinite when it cancels to 0).
+
+    ``ln`` is correctly rounded, so each log and their difference are within
+    half a unit in the last digit.
+    """
+    ln, ld = Decimal(base.numerator).ln(), Decimal(base.denominator).ln()
+    v = ln - ld
+    if not v:
+        return v, Decimal("Infinity")
+    return v, (ln + ld) / -v * Decimal(10) ** (1 - prec)
+
+
+def _rates_tie(a: GrowthClass, g: GrowthClass, m: int) -> bool:
+    """Whether a.base^(g.root * m) == g.base^(a.root), without forming huge powers.
+
+    With x and y those exponents divided by their gcd, a tie makes a.base the
+    y-th and g.base the x-th power of one rational below 1, whose denominator
+    is at least 2.  So x and y stay below the bit lengths of the denominators,
+    and the reduced powers compared here are no longer than the product of
+    the two bases' sizes.
+    """
+    x, y = g.root * m, a.root
+    d = gcd(x, y)
+    x, y = x // d, y // d
+    if x >= g.base.denominator.bit_length() or y >= a.base.denominator.bit_length():
+        return False
+    return a.base**x == g.base**y

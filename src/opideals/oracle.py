@@ -34,7 +34,7 @@ from .ideals import (
 from .sequences import (
     SeqExpr,
     ampliate,
-    eval_log,
+    eval_log_many,
     evaluate,
     seq_product,
     value_stream,
@@ -410,19 +410,15 @@ def _factor_membership(
         head = max(vals[: max(1, len(vals) // 8)])
         tail = max(vals[-max(1, len(vals) // 8):])
         return head == 0 or tail <= head * 0.05
+    nonzero = [(n, math.log(float(v))) for n, v in samples if float(v) != 0.0]
+    ns = [n for n, _ in nonzero]
     best = math.inf
     for m in range(1, settings.grid_m + 1):
-        target = ampliate(gen, m)
-        worst = 0.0
-        for n, v in samples:
-            fv = float(v)
-            if fv == 0.0:
-                continue
-            tl = eval_log(target, n)
-            if tl == -math.inf:
-                worst = math.inf
-                break
-            worst = max(worst, math.exp(min(math.log(fv) - tl, 700.0)))
+        tls = eval_log_many(ampliate(gen, m), ns)
+        if -math.inf in tls:
+            worst = math.inf
+        else:
+            worst = max((math.exp(min(lv - tl, 700.0)) for (_, lv), tl in zip(nonzero, tls)), default=0.0)
         best = min(best, worst)
         if best <= 4.0:
             return True
@@ -451,12 +447,10 @@ def verify_softness_witness(
     idx = sorted(set(range(1, min(n_max, 2048) + 1)) | set(sample_indices(1, n_max, 96)))
     observed = []
     worst = 0.0
-    for n in idx:
-        ls = eval_log(s_expr, n)
+    for n, ls, lb in zip(idx, eval_log_many(s_expr, idx), eval_log_many(bound_expr, idx)):
         if ls == -math.inf:
             observed.append((n, 0.0))
             continue
-        lb = eval_log(bound_expr, n)
         ratio = math.inf if lb == -math.inf else math.exp(min(ls - lb, 700.0))
         worst = max(worst, ratio)
         observed.append((n, ratio))

@@ -18,8 +18,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 RationalLike = Union[int, float, str, Fraction]
 Value = Union[Fraction, float]
@@ -276,38 +277,78 @@ def _log_fraction(v: Fraction) -> float:
 
 
 def eval_log(e: SeqExpr, n: int) -> float:
-    """Natural log of the value at index n (-inf for zero entries).
+    """Natural log of the value at index n (-inf for zero entries)."""
+    return eval_log_many(e, (n,))[0]
 
-    Works in log space throughout, so geometric atoms at huge indices never
-    touch big integers and never underflow.
+
+def eval_log_many(e: SeqExpr, ns: Iterable[int]) -> list[float]:
+    """Natural logs of the values at every index in ``ns`` (-inf for zero entries).
+
+    Walks each node once for the whole index list; ampliation and decimation
+    map the list once per node.  Every value is computed with the same float
+    operations, in the same order, as a walk for that index alone, so the
+    result does not depend on which other indices share the list.  Works in
+    log space throughout, so geometric atoms at huge indices never touch big
+    integers and never underflow.
     """
-    if n < 1:
-        raise ValueError(f"sequence indices start at 1, got {n}")
+    ns = tuple(ns)
+    if ns and min(ns) < 1:
+        raise ValueError(f"sequence indices start at 1, got {min(ns)}")
+    return _log_many(e, ns)
+
+
+@lru_cache(maxsize=4)
+def _log_columns(ns: tuple[int, ...]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """log(n) and log(log(n+1)) per index: the two columns of every power/log atom.
+
+    Cached across calls because witness constants sample every question on
+    the same few index lists (the head 1..1024 plus the window samples, and
+    their images under ampliation and decimation), and these logs are most of
+    a power/log atom's cost.  A memo local to one call saves nothing.
+    """
+    return tuple(map(math.log, ns)), tuple([math.log(math.log(n + 1.0)) for n in ns])
+
+
+def _log_sum(la: float, lb: float) -> float:
+    if la < lb:
+        la, lb = lb, la
+    if lb == -math.inf:
+        return la
+    return la + math.log1p(math.exp(lb - la))
+
+
+def _log_product(la: float, lb: float) -> float:
+    if la == -math.inf or lb == -math.inf:
+        return -math.inf
+    return la + lb
+
+
+def _log_many(e: SeqExpr, ns: tuple[int, ...]) -> list[float]:
     if isinstance(e, PowerLog):
-        return -float(e.p) * math.log(n) - float(e.q) * math.log(math.log(n + 1.0))
+        fp, fq = -float(e.p), float(e.q)
+        logs, loglogs = _log_columns(ns)
+        return [fp * x - fq * y for x, y in zip(logs, loglogs)]
     if isinstance(e, Geometric):
-        return n * _log_fraction(e.ratio)
+        lr = _log_fraction(e.ratio)
+        return [n * lr for n in ns]
     if isinstance(e, Finite):
-        return _log_fraction(e.values[n - 1]) if n <= len(e.values) else -math.inf
+        vals, size = e.values, len(e.values)
+        return [_log_fraction(vals[n - 1]) if n <= size else -math.inf for n in ns]
     if isinstance(e, Scale):
-        return _log_fraction(e.factor) + eval_log(e.inner, n)
+        lf = _log_fraction(e.factor)
+        return [lf + x for x in _log_many(e.inner, ns)]
     if isinstance(e, Ampliate):
-        return eval_log(e.inner, -(-n // e.order))
+        m = e.order
+        return _log_many(e.inner, tuple([-(-n // m) for n in ns]))
     if isinstance(e, Decimate):
-        return eval_log(e.inner, e.step * n)
+        k = e.step
+        return _log_many(e.inner, tuple([k * n for n in ns]))
     if isinstance(e, Sum):
-        la, lb = eval_log(e.left, n), eval_log(e.right, n)
-        hi, lo = max(la, lb), min(la, lb)
-        if hi == -math.inf:
-            return -math.inf
-        return hi + math.log1p(math.exp(lo - hi)) if lo > -math.inf else hi
+        return list(map(_log_sum, _log_many(e.left, ns), _log_many(e.right, ns)))
     if isinstance(e, Max):
-        return max(eval_log(e.left, n), eval_log(e.right, n))
+        return list(map(max, _log_many(e.left, ns), _log_many(e.right, ns)))
     if isinstance(e, Product):
-        la, lb = eval_log(e.left, n), eval_log(e.right, n)
-        if -math.inf in (la, lb):
-            return -math.inf
-        return la + lb
+        return list(map(_log_product, _log_many(e.left, ns), _log_many(e.right, ns)))
     raise TypeError(f"not a sequence expression: {e!r}")
 
 

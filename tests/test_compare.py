@@ -118,6 +118,15 @@ def test_verdict_invariants():
     assert v.is_yes and v.witness.constant == 2
 
 
+def test_numeric_mode_decides_finite_supports_exactly():
+    # the sampled window starts past both supports, where it would only see 0/0
+    a, b = op.finite([5, 4, 3]), op.finite([2])
+    assert big_o(a, b).is_no
+    assert big_o(a, b, mode="numeric").is_no
+    assert big_o(b, a, mode="numeric") == big_o(b, a)
+    assert little_o(b, a, mode="numeric").is_no
+
+
 def test_numeric_unknown_on_log_gap():
     # a log-order gap cannot cross the divergence threshold inside the window
     v = big_o(op.power_log(1), op.power_log(1, 1), mode="numeric")

@@ -1,8 +1,13 @@
+import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 import opideals as op
+from opideals.compare import big_o
+from opideals.growth import amp_class, class_big_o, class_little_o, min_ampliation_order, profile
 from opideals.ideals import (
     FH,
     IdealPower,
@@ -44,6 +49,12 @@ def test_member_finite_rank_everywhere():
     assert member(op.finite([1] * 12), Principal(op.finite([2]))).is_yes
 
 
+def test_member_numeric_finite_supports_match_symbolic():
+    eta, ideal = op.finite([5, 4, 3]), Principal(op.finite([2]))
+    assert member(eta, ideal).witness.m == 3
+    assert member(eta, ideal, mode="numeric").witness.m == 3
+
+
 def test_member_records_ampliation_witness():
     # (1/2)^n needs a 2-fold ampliation of (1/4)^n before it dominates
     v = member(G2, Principal(op.geometric(Fraction(1, 4))))
@@ -57,6 +68,81 @@ def test_member_far_ampliation_beyond_default_grid():
     v = member(eta, Principal(gen))
     assert v.is_yes
     assert v.witness.m >= 100  # honest witness, not a grid-truncated refusal
+
+
+def test_member_near_rate_one_order_is_minimal():
+    # (999999/10^6)^m < 1/2 first holds at m = 693147, by a log margin of
+    # only -1.7e-7; 40-digit decimal logs confirm the neighbours
+    half = Principal(op.geometric(Fraction(1, 2)))
+    v = member(op.geometric(Fraction(999999, 10**6)), half)
+    assert v.is_yes and v.witness.m == 693147
+    with localcontext() as ctx:
+        ctx.prec = 40
+        rate, log_half = (Decimal(999999) / Decimal(10**6)).ln(), Decimal(1 / 2).ln()
+    assert 693146 * rate > log_half > 693147 * rate
+    # at 1 - 10^-12, log(num) - log(den) would lose all but three digits
+    m = member(op.geometric(1 - Fraction(1, 10**12)), half).witness.m
+    with localcontext() as ctx:
+        ctx.prec = 50
+        rate = (1 - Decimal(1) / Decimal(10**12)).ln()
+    assert (m - 1) * rate > log_half > m * rate
+
+
+def test_member_ampliation_order_is_minimal_across_roots():
+    # the generator's class has root 1, the sequence's root 4: (1/4)^(n/4)
+    # against ampliations of (1/8)^n, whose rates tie exactly at m = 6
+    eta = op.ampliate(op.geometric(Fraction(1, 4)), 4)
+    gen = op.decimate(op.geometric(Fraction(1, 2)), 3)
+    assert member(eta, Principal(gen)).witness.m == 6
+    assert big_o(eta, op.ampliate(gen, 5)).is_no
+    assert big_o(eta, op.ampliate(gen, 6)).is_yes
+
+
+def test_member_huge_ampliation_orders_are_exact_and_quick():
+    # orders near 10^15 lie far past any exact power the scan could form
+    half, third = Principal(op.geometric(Fraction(1, 2))), Principal(op.geometric(Fraction(1, 3)))
+    n = 10**15
+    v = member(op.ampliate(op.geometric(Fraction(1, 2)), n), third)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t = n * Decimal(3).ln() / Decimal(2).ln()
+    assert v.is_yes and v.witness.m == math.floor(t) + 1
+    # (1/4)^(n/(2*10^15)) and (1/2)^(n/10^15) tie exactly; the tie is found
+    # from the reduced exponents, not from the powers themselves
+    pa, pg = profile(op.ampliate(op.geometric(Fraction(1, 4)), 2 * n)), profile(half.generator)
+    assert min_ampliation_order(pa, pg, strict=False) == n
+    assert min_ampliation_order(pa, pg, strict=True) == n + 1
+    # a rate within 10^-400 of one: float logs underflow, decimal ones do not
+    m = member(op.geometric(1 - Fraction(1, 10**400)), half).witness.m
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        rate, log_half = (1 - Decimal(10) ** -400).ln(), Decimal(1 / 2).ln()
+        assert (m - 1) * rate > log_half > m * rate
+
+
+def test_min_ampliation_order_is_least_by_exact_powers():
+    rng = random.Random(0x5EED)
+    ratios = [Fraction(1, k) for k in (2, 3, 8)] + [Fraction(2, 3), Fraction(3, 4), Fraction(7, 8)]
+
+    def expr():
+        e = op.geometric(rng.choice(ratios))
+        if rng.random() < 0.5:
+            e = op.seq_product(e, op.power_log(rng.randrange(1, 3)))
+        return op.decimate(op.ampliate(e, rng.randrange(1, 5)), rng.randrange(1, 4))
+
+    for _ in range(300):
+        strict = rng.random() < 0.5
+        pa, pg = profile(expr()), profile(expr())
+        a, g = pa.growth, pg.growth
+        m = min_ampliation_order(pa, pg, strict)
+
+        def dominated(k):
+            lhs, rhs = a.base ** (g.root * k), g.base**a.root
+            if lhs != rhs:
+                return lhs < rhs
+            return (class_little_o if strict else class_big_o)(a, amp_class(g, k))
+
+        assert dominated(m) and (m == 1 or not dominated(m - 1)), (a, g, strict, m)
 
 
 def test_member_zero_ideal():

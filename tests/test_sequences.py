@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import opideals as op
-from opideals.sequences import DomainError, eval_log, evaluate, head, support, value_stream
+from opideals.compare import DEFAULT_SETTINGS, observed_constant, observed_supremum, rational_ceiling, sample_indices
+from opideals.sequences import DomainError, eval_log, eval_log_many, evaluate, head, support, value_stream
 
 from conftest import random_expr
 
@@ -162,3 +163,103 @@ def test_log_numerator_head_check_matches_brute_force():
             ]
             monotone = all(vals[i + 1] <= vals[i] * (1 + 1e-9) for i in range(len(vals) - 1))
             assert accepted == monotone, (p, q)
+
+
+def _log_fraction(v: Fraction) -> float:
+    return -math.inf if v == 0 else math.log(v.numerator) - math.log(v.denominator)
+
+
+def reference_eval_log(e, n: int) -> float:
+    """The per-index recursive walk that ``eval_log_many`` replaced, kept as the reference."""
+    if isinstance(e, op.PowerLog):
+        return -float(e.p) * math.log(n) - float(e.q) * math.log(math.log(n + 1.0))
+    if isinstance(e, op.Geometric):
+        return n * _log_fraction(e.ratio)
+    if isinstance(e, op.Finite):
+        return _log_fraction(e.values[n - 1]) if n <= len(e.values) else -math.inf
+    if isinstance(e, op.Scale):
+        return _log_fraction(e.factor) + reference_eval_log(e.inner, n)
+    if isinstance(e, op.Ampliate):
+        return reference_eval_log(e.inner, -(-n // e.order))
+    if isinstance(e, op.Decimate):
+        return reference_eval_log(e.inner, e.step * n)
+    if isinstance(e, op.Sum):
+        la, lb = reference_eval_log(e.left, n), reference_eval_log(e.right, n)
+        hi, lo = max(la, lb), min(la, lb)
+        if hi == -math.inf:
+            return -math.inf
+        return hi + math.log1p(math.exp(lo - hi)) if lo > -math.inf else hi
+    if isinstance(e, op.Max):
+        return max(reference_eval_log(e.left, n), reference_eval_log(e.right, n))
+    if isinstance(e, op.Product):
+        la, lb = reference_eval_log(e.left, n), reference_eval_log(e.right, n)
+        if -math.inf in (la, lb):
+            return -math.inf
+        return la + lb
+    raise TypeError(e)
+
+
+def reference_observed_supremum(a, b, settings=DEFAULT_SETTINGS) -> float:
+    """The per-index supremum loop that ``observed_supremum`` replaced."""
+    hi = settings.window_hi
+    head_end = min(hi, 1024)
+    if support(a) is not None:
+        head_end = min(hi, max(head_end, support(a)))
+    idx = list(range(1, head_end + 1)) + sample_indices(settings.window_lo, hi, 2 * settings.sample_count)
+    best = 0.0
+    for n in sorted(set(idx)):
+        la, lb = reference_eval_log(a, n), reference_eval_log(b, n)
+        if lb == -math.inf:
+            if la > -math.inf:
+                return math.inf
+            continue
+        if la > -math.inf:
+            best = max(best, math.exp(min(la - lb, 700.0)))
+    return best
+
+
+# unsorted, with repeats, from the head through a huge geometric index
+INDICES = [3, 1, 2, 3, *range(4, 200), *sample_indices(16, 1 << 20, 128), 1 << 20, 1 << 40, 7]
+EDGE_CASES = [
+    op.finite([5, 4, 3]),
+    op.ampliate(op.finite([3, 1]), 3),
+    op.decimate(op.finite([9, 8, 7, 6, 5, 4, 3]), 2),
+    op.scale(3, op.ampliate(op.geometric(Fraction(1, 2)), 2)),
+    op.seq_product(op.finite([4, 2]), op.power_log(1)),  # -inf beyond the support
+    op.seq_sum(op.finite([2]), op.finite([3, 1])),  # both sides -inf in the tail
+    op.seq_max(op.finite([1]), op.power_log(Fraction(1, 2), 1)),
+    op.seq_sum(op.power_log(1), op.power_log(1)),  # exact ties inside the log-sum
+    op.power_log(0, 1),
+    op.power_log(2, Fraction(-1, 2)),
+    op.decimate(op.ampliate(op.power_log(1, 2), 4), 3),
+    op.geometric(Fraction(1, 10**30)),
+]
+
+
+def test_eval_log_many_bit_identical_to_reference_walk(rng):
+    corpus = [random_expr(rng, depth=3) for _ in range(60)] + EDGE_CASES
+    for e in corpus:
+        got = eval_log_many(e, INDICES)
+        want = [reference_eval_log(e, n) for n in INDICES]
+        assert [v.hex() for v in got] == [v.hex() for v in want], op.render_seq(e)
+        assert eval_log(e, 5).hex() == want[INDICES.index(5)].hex()
+
+
+def test_eval_log_many_rejects_index_zero():
+    with pytest.raises(ValueError):
+        eval_log_many(op.power_log(1), [3, 0])
+    assert eval_log_many(op.power_log(1), []) == []
+
+
+def test_observed_constant_unchanged_by_batched_evaluation(rng):
+    checked = 0
+    for _ in range(60):
+        a, b = random_expr(rng, depth=2), random_expr(rng, depth=2)
+        if op.big_o(b, a).is_yes:
+            a, b = b, a
+        want = reference_observed_supremum(a, b)
+        assert observed_supremum(a, b, DEFAULT_SETTINGS).hex() == want.hex(), (op.render_seq(a), op.render_seq(b))
+        if want < 1e290:
+            assert observed_constant(a, b, DEFAULT_SETTINGS) == rational_ceiling(2 * max(want, 1e-30))
+            checked += 1
+    assert checked >= 30
