@@ -30,6 +30,7 @@ from .ideals import (
     is_soft,
     member,
     reduce_ideal,
+    require_member,
 )
 from .sequences import SeqExpr, power_log, seq_product, seq_sum, support
 
@@ -84,11 +85,7 @@ def classify_principal(
     last four positions pairwise strict and leaves only the innermost link
     to a dedicated probe.
     """
-    pre = member(s_expr, ideal, settings=settings, mode=mode)
-    if not pre.is_yes:
-        raise PreconditionError(
-            f"classification needs S in J; membership verdict was {pre.outcome.value}"
-        )
+    require_member(s_expr, ideal, "classification needs S in J; membership verdict", settings=settings, mode=mode)
     softness = is_soft(s_expr, ideal, settings=settings, mode=mode)
     verdict = softness.verdict
     if verdict.is_yes:
@@ -135,11 +132,7 @@ def classify_finitely_generated(
     if not gens:
         raise PreconditionError("at least one generator is required")
     for g in gens:
-        v = member(g, ideal, settings=settings, mode=mode)
-        if not v.is_yes:
-            raise PreconditionError(
-                f"every generator must lie in J; a membership verdict was {v.outcome.value}"
-            )
+        require_member(g, ideal, "every generator must lie in J; a membership verdict", settings=settings, mode=mode)
     combined = gens[0]
     for g in gens[1:]:
         combined = seq_sum(combined, g)
@@ -189,11 +182,7 @@ def probe_chain_link(
     canonical witness gen(J)*S escapes the reduced J(S)J; Unknown when
     neither test is conclusive.
     """
-    pre = member(s_expr, ideal, settings=settings, mode=mode)
-    if not pre.is_yes:
-        raise PreconditionError(
-            f"the chain probe needs S in J; membership verdict was {pre.outcome.value}"
-        )
+    require_member(s_expr, ideal, "the chain probe needs S in J; membership verdict", settings=settings, mode=mode)
     red = reduce_ideal(ideal)
     squared = reduce_ideal(IdealProduct(red, red))
     idem = ideal_equal(red, squared, settings=settings, mode=mode)

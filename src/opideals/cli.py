@@ -132,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser):
         p.add_argument("--window", type=_parse_window, default=None, help="sampling window N0:N1")
         p.add_argument("--tol", type=float, default=None, help="numeric tolerance / vanishing threshold")
-        p.add_argument("--grid", type=_parse_grid, default=None, help="witness search bounds K_MAX,M_MAX")
+        p.add_argument("--grid", type=_parse_grid, default=None,
+                       help="witness search bounds K_MAX,M_MAX of --numeric and oracle split (symbolic needs none)")
         p.add_argument("--json", action="store_true", help="emit one machine-readable JSON document")
         p.add_argument("--numeric", action="store_true", help="force the sampled numeric fallback")
 
@@ -377,6 +378,11 @@ def main(argv: list[str] | None = None) -> int:
         return _run(ns)
     except (ParseError, DomainError, PreconditionError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (RecursionError, MemoryError, OverflowError) as exc:
+        detail = " ".join(str(exc).split())
+        print(f"error: input too large or too deeply nested ({type(exc).__name__}{': ' + detail if detail else ''})",
+              file=sys.stderr)
         return 1
 
 

@@ -97,6 +97,10 @@ class Settings:
     ``observed_constant``): ``constant_factor`` times the supremum sampled
     over the head 1..1024 plus ``2 * sample_count`` geometric samples of the
     window.  It is sampled, not a proven bound.
+
+    ``grid_k`` and ``grid_m`` bound the sampled witness searches only:
+    softness and membership in numeric mode, and the oracle's factor check.
+    The symbolic path finds its orders in closed form.
     """
 
     window_lo: int = 16
@@ -278,6 +282,9 @@ def _numeric(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings) -> Verdic
     if pb.support is not None:
         # the sampled window starts past both supports, where the ratio is 0/0
         return _finite_supports(a, b, pa.support, pb.support, strict, settings)
+    if pa.support is not None:
+        # the window may start past the left support and sample only zeros
+        return _symbolic(a, b, strict, settings)
     ns = sample_indices(settings.window_lo, settings.window_hi, settings.sample_count)
     ratios: list[tuple[int, float]] = []
     for n, r in zip(ns, _ratio_logs(a, b, ns, both_zero=0.0)):

@@ -27,6 +27,7 @@ from fractions import Fraction
 from .compare import (
     DEFAULT_SETTINGS,
     Certificate,
+    Outcome,
     Settings,
     Verdict,
     Witness,
@@ -34,7 +35,7 @@ from .compare import (
     little_o,
     observed_constant,
 )
-from .growth import min_ampliation_order, profile
+from .growth import GrowthClass, Profile, amp_class, class_big_o, min_ampliation_order, mul_class, profile
 from .sequences import (
     SeqExpr,
     ampliate,
@@ -205,25 +206,40 @@ def _reduce_sum(a: IdealDesc, b: IdealDesc) -> IdealDesc:
     raise AssertionError("total class order left a sum unreduced")
 
 
-def _member_reduced(eta: SeqExpr, red: IdealDesc, settings: Settings, mode: str) -> Verdict:
+def _member_order(eta: SeqExpr, red: IdealDesc) -> int | None:
+    """The least ampliation order m with eta in the reduced ideal, or None when eta lies outside.
+
+    Exact, and it samples nothing.  Ideals without a generator (zero, finite
+    rank, the compacts) answer 1 for every member.
+    """
     p_eta = profile(eta)
     if isinstance(red, ZeroIdeal):
-        if p_eta.is_zero:
+        return 1 if p_eta.is_zero else None
+    if isinstance(red, KH):
+        return 1
+    if isinstance(red, FH):
+        return 1 if p_eta.is_finite else None
+    return min_ampliation_order(p_eta, profile(red.generator), strict=isinstance(red, SoftInterior))
+
+
+def _member_reduced(eta: SeqExpr, red: IdealDesc, settings: Settings, mode: str) -> Verdict:
+    if mode == "numeric" and isinstance(red, (Principal, SoftInterior)):
+        return _member_numeric(eta, red.generator, isinstance(red, SoftInterior), settings)
+    m = _member_order(eta, red)
+    if isinstance(red, ZeroIdeal):
+        if m is not None:
             return Verdict.yes(Witness(constant=Fraction(1), note="zero sequence in the zero ideal"))
         return Verdict.no(Certificate(note="nonzero sequence against the zero ideal"))
     if isinstance(red, KH):
         return Verdict.yes(Witness(m=1, constant=Fraction(1), note="every expression denotes a null sequence"))
     if isinstance(red, FH):
-        if p_eta.is_finite:
+        if m is not None:
             return Verdict.yes(
-                Witness(m=1, constant=Fraction(1), note=f"finite support of size {p_eta.support}")
+                Witness(m=1, constant=Fraction(1), note=f"finite support of size {profile(eta).support}")
             )
         return Verdict.no(Certificate(note="infinite support cannot be finite rank"))
     gen = red.generator
     strict = isinstance(red, SoftInterior)
-    if mode == "numeric":
-        return _member_numeric(eta, gen, strict, settings)
-    m = min_ampliation_order(p_eta, profile(gen), strict=strict)
     if m is None:
         compare = little_o if strict else big_o
         base = compare(eta, ampliate(gen, 1), settings=settings)
@@ -281,6 +297,27 @@ def member(
     support.  Composite descriptions are reduced first.
     """
     return _member_reduced(eta, reduce_ideal(ideal), settings, mode)
+
+
+def require_member(
+    eta: SeqExpr,
+    ideal: IdealDesc,
+    what: str,
+    *,
+    settings: Settings = DEFAULT_SETTINGS,
+    mode: str = "auto",
+) -> None:
+    """Raise ``PreconditionError("<what> was <outcome>")`` unless eta lies in the ideal.
+
+    The symbolic path decides membership exactly and samples no witness
+    constant, since a precondition discards it; numeric mode asks ``member``.
+    """
+    if mode == "numeric":
+        outcome = member(eta, ideal, settings=settings, mode=mode).outcome
+    else:
+        outcome = Outcome.YES if _member_order(eta, reduce_ideal(ideal)) is not None else Outcome.NO
+    if outcome is not Outcome.YES:
+        raise PreconditionError(f"{what} was {outcome.value}")
 
 
 def ideal_equal(
@@ -357,28 +394,45 @@ def _included(a: IdealDesc, b: IdealDesc, settings: Settings, mode: str) -> Verd
 
 def _finite_soft_result(s_expr: SeqExpr) -> SoftnessResult:
     sup = support(s_expr)
-    t = finite([1] * sup) if sup else finite([])
+    # the indicator of the support, as an ampliation: its size never matters
+    t = ampliate(finite([1]), sup) if sup else finite([])
     verdict = Verdict.yes(
         Witness(k=1, m=None, constant=Fraction(1), window=(1, max(sup, 1)), note="finite rank is soft in every ideal")
     )
     return SoftnessResult(verdict=verdict, k=1, m=None, t_witness=t)
 
 
-def _soft_t_for_compacts(s_expr: SeqExpr, k: int, settings: Settings) -> SeqExpr | None:
-    """A compact T with s <= C * (k-ampliation of s) * T, matching witness k.
+def _soft_t_for_compacts(s_expr: SeqExpr, k: int) -> SeqExpr | None:
+    """A compact T with s = O((k-ampliation of s) * T), chosen on growth classes.
 
-    The k-ampliation of s itself works for purely geometric classes; the
-    ampliate-then-decimate candidate has rate exponent (k-1)/(2k), which
+    The k-ampliation of s itself works when the power/log part allows it;
+    the ampliate-then-decimate candidate has rate exponent (k-1)/(2k), which
     keeps the product's rate strictly slower than s and absorbs any
     power/log factors.
     """
+    c = profile(s_expr).growth
+    amp_k = amp_class(c, k)
     candidates = [ampliate(s_expr, k)]
     if k >= 2:
         candidates.append(decimate(ampliate(s_expr, 4 * k), 2 * k - 2))
     for t in candidates:
-        if big_o(s_expr, seq_product(ampliate(s_expr, k), t), settings=settings).is_yes:
+        if class_big_o(c, mul_class(amp_k, profile(t).growth)):
             return t
     return None
+
+
+def _generator_witness(gen: SeqExpr, m: int, damped: bool) -> SeqExpr:
+    """The m-fold ampliation of J's generator, log-damped so that it stays in a soft interior."""
+    t = ampliate(gen, m)
+    return seq_product(t, power_log(0, 1)) if damped else t
+
+
+def _soft_no(note: str, base: Verdict, fallback: str) -> SoftnessResult:
+    """A No whose certificate is the one of the comparison ``base`` (window and tail samples)."""
+    cert = base.certificate or Certificate(note=fallback)
+    return SoftnessResult(
+        verdict=Verdict.no(Certificate(window=cert.window, note=f"{note}: {cert.note}", samples=cert.samples))
+    )
 
 
 def is_soft(
@@ -390,28 +444,83 @@ def is_soft(
 ) -> SoftnessResult:
     """Is the principal ideal generated by s_expr equal to its product with J?
 
-    Requires membership of the generator in J.  For J the compacts this is
-    the decimation test: some k-step decimation of s must be little-o of s.
-    For principal-like J the engine searches structured witnesses, an
-    ampliation of s paired with an ampliation of J's generator (log-damped
-    when J is a soft interior, so the witness stays inside J).
+    Requires S in J.  Write s for its singular values, D_k for k-fold
+    ampliation and Sigma(J) for the sequences of J.  (S)J holds exactly the
+    sequences O(D_k s * t) with k >= 1 and t in Sigma(J), so (S) = (S)J
+    exactly when s = O(D_k s * t) for some such k and t.  A finitely
+    supported s is soft in every J (k = 1, t the indicator of its support).
+
+    For s of infinite support with growth class (b, r, p, q), that is s_n
+    within constant factors of rho^n n^-p log(n+1)^-q with rho = b^(1/r),
+    the symbolic path decides in closed form (compare the decimation
+    criterion of Kaftal-Weiss, Soft ideals and arithmetic mean ideals, IEOT
+    58, 2007):
+
+    * rho = 1: never soft.  (D_k s)_n = s_ceil(n/k) and n/ceil(n/k) -> k, so
+      s_n / (D_k s)_n stays above a positive constant (about k^-p) for every
+      k.  Then s <= C D_k s * t forces t to stay bounded below, so t is not
+      null; but every ideal here lies in the compacts, whose sequences are.
+    * rho < 1: soft with k = 2.  s_n / (D_2 s)_n is within constant factors
+      of rho^(n/2), since the power and log factors at n and n/2 differ by
+      bounded factors: the quotient has class (b, 2r, 0, 0).  Any t in
+      Sigma(J) that dominates it is a witness:
+      - J = K(H): t = D_2 s when s = O(D_2 s * D_2 s) on classes (the rates
+        tie, so the power/log part decides), otherwise t = D_4 s (written
+        dec(2, amp(8, s))), whose product with D_2 s has rate rho^(3/4) >
+        rho.  Both are null.
+      - J principal-like with generator g: t = D_m g', with g' = g, or
+        g * log(n+1)^-1 when J is the soft interior (g)K(H) (then
+        D_m g' = o(D_m g) lies in J), and m the least order with the
+        quotient class O(D_m g') (``min_ampliation_order``).  It exists: D_m g'
+        has rate one, or rate rho_g^(1/m) -> 1, which eventually beats
+        rho^(1/2) < 1.
+
+    A Yes samples one witness constant, for s against D_2 s * t; a No carries
+    the certificate (window and tail samples) of one comparison at k = 2.
+    With ``mode="numeric"`` the engine instead searches the witness grid of
+    the settings (k up to ``grid_k``, m up to ``grid_m``) with sampled
+    comparisons.
     """
-    pre = member(s_expr, ideal, settings=settings, mode=mode)
-    if not pre.is_yes:
-        raise PreconditionError(
-            "softness of (S) in J is only defined for S in J; membership verdict was "
-            f"{pre.outcome.value}"
-        )
+    require_member(
+        s_expr, ideal, "softness of (S) in J is only defined for S in J; membership verdict",
+        settings=settings, mode=mode,
+    )
     red = reduce_ideal(ideal)
     if support(s_expr) is not None:
         return _finite_soft_result(s_expr)
     # s has infinite support; J = zero or finite rank would have failed membership
+    if mode == "numeric":
+        return _soft_numeric(s_expr, red, settings)
+    c = profile(s_expr).growth
+    rate_one = "rate one: s/D_k s stays bounded below for every k, so no null witness exists"
+    if isinstance(red, KH):
+        if c.rate_is_one:
+            base = little_o(decimate(s_expr, 2), s_expr, settings=settings)
+            return _soft_no(rate_one, base, "decimated tails stay comparable to the sequence")
+        m, t = None, _soft_t_for_compacts(s_expr, 2)
+    else:
+        gen, damped = red.generator, isinstance(red, SoftInterior)
+        if c.rate_is_one:
+            base = big_o(s_expr, seq_product(ampliate(s_expr, 2), _generator_witness(gen, 1, damped)),
+                         settings=settings)
+            return _soft_no(rate_one, base, "no structured witness dominates")
+        quotient = Profile(None, GrowthClass(c.base, 2 * c.root, Fraction(0), Fraction(0)))
+        m = min_ampliation_order(quotient, profile(_generator_witness(gen, 1, damped)), strict=False)
+        t = _generator_witness(gen, m, damped)
+    constant = observed_constant(s_expr, seq_product(ampliate(s_expr, 2), t), settings)
+    note = "rate below one: s/D_2 s decays like the square root of the rate, and a witness in J absorbs it"
+    verdict = Verdict.yes(Witness(k=2, m=m, constant=constant, window=(1, settings.window_hi), note=note))
+    return SoftnessResult(verdict=verdict, k=2, m=m, t_witness=t)
+
+
+def _soft_numeric(s_expr: SeqExpr, red: IdealDesc, settings: Settings) -> SoftnessResult:
+    """The witness grid of ``is_soft`` for numeric mode: sampled comparisons up to (grid_k, grid_m)."""
     if isinstance(red, KH):
         saw_unknown = None
         for k in range(2, settings.grid_k + 1):
-            v = little_o(decimate(s_expr, k), s_expr, settings=settings, mode=mode)
+            v = little_o(decimate(s_expr, k), s_expr, settings=settings, mode="numeric")
             if v.is_yes:
-                t = _soft_t_for_compacts(s_expr, k, settings)
+                t = _soft_t_for_compacts(s_expr, k)
                 constant = (
                     observed_constant(s_expr, seq_product(ampliate(s_expr, k), t), settings)
                     if t is not None
@@ -426,27 +535,16 @@ def is_soft(
                 saw_unknown = v.reason
         if saw_unknown is not None:
             return SoftnessResult(verdict=Verdict.unknown(saw_unknown))
-        base = little_o(decimate(s_expr, 2), s_expr, settings=settings, mode=mode)
-        cert = base.certificate or Certificate(note="decimated tails stay comparable to the sequence")
-        verdict = Verdict.no(
-            Certificate(window=cert.window,
-                        note=f"no decimation step up to {settings.grid_k} vanishes: {cert.note}",
-                        samples=cert.samples)
-        )
-        return SoftnessResult(verdict=verdict)
+        base = little_o(decimate(s_expr, 2), s_expr, settings=settings, mode="numeric")
+        return _soft_no(f"no decimation step up to {settings.grid_k} vanishes", base,
+                        "decimated tails stay comparable to the sequence")
 
-    gen = red.generator
-    damped = isinstance(red, SoftInterior)
-
-    def t_candidate(m: int) -> SeqExpr:
-        t = ampliate(gen, m)
-        return seq_product(t, power_log(0, 1)) if damped else t
-
+    gen, damped = red.generator, isinstance(red, SoftInterior)
     saw_unknown = None
     for k in range(1, settings.grid_k + 1):
         for m in range(1, settings.grid_m + 1):
-            t = t_candidate(m)
-            v = big_o(s_expr, seq_product(ampliate(s_expr, k), t), settings=settings, mode=mode)
+            t = _generator_witness(gen, m, damped)
+            v = big_o(s_expr, seq_product(ampliate(s_expr, k), t), settings=settings, mode="numeric")
             if v.is_yes:
                 verdict = Verdict.yes(
                     Witness(k=k, m=m, constant=v.witness.constant, window=v.witness.window,
@@ -455,46 +553,9 @@ def is_soft(
                 return SoftnessResult(verdict=verdict, k=k, m=m, t_witness=t)
             if v.is_unknown and saw_unknown is None:
                 saw_unknown = v.reason
-    if mode != "numeric":
-        # rates very close to one can need ampliation orders beyond the grid;
-        # the class algebra locates the order directly
-        ext = _soft_rate_extension(s_expr, gen, damped, settings)
-        if ext is not None:
-            return ext
     if saw_unknown is not None:
         return SoftnessResult(verdict=Verdict.unknown(saw_unknown))
-    base = big_o(s_expr, seq_product(ampliate(s_expr, 2), t_candidate(1)), settings=settings, mode=mode)
-    cert = base.certificate or Certificate(note="no structured witness dominates")
-    verdict = Verdict.no(
-        Certificate(window=cert.window,
-                    note=f"no structured witness within the {settings.grid_k}x{settings.grid_m} grid: {cert.note}",
-                    samples=cert.samples)
-    )
-    return SoftnessResult(verdict=verdict)
-
-
-def _soft_rate_extension(
-    s_expr: SeqExpr, gen: SeqExpr, damped: bool, settings: Settings
-) -> SoftnessResult | None:
-    ps, pg = profile(s_expr), profile(gen)
-    if ps.support is not None or pg.support is not None:
-        return None
-    if ps.growth.rate_is_one or pg.growth.rate_is_one:
-        return None
-    from .growth import _rate_log  # rate arithmetic on the log scale
-
-    for k in (2, 3):
-        need = (1 - 1 / k) * _rate_log(ps.growth)
-        est = max(1, int(need / _rate_log(pg.growth)) - 1)
-        for m in range(est, est + 8):
-            t = ampliate(gen, m)
-            if damped:
-                t = seq_product(t, power_log(0, 1))
-            v = big_o(s_expr, seq_product(ampliate(s_expr, k), t), settings=settings)
-            if v.is_yes:
-                verdict = Verdict.yes(
-                    Witness(k=k, m=m, constant=v.witness.constant, window=v.witness.window,
-                            note="structured witness located beyond the default grid")
-                )
-                return SoftnessResult(verdict=verdict, k=k, m=m, t_witness=t)
-    return None
+    base = big_o(s_expr, seq_product(ampliate(s_expr, 2), _generator_witness(gen, 1, damped)),
+                 settings=settings, mode="numeric")
+    return _soft_no(f"no structured witness within the {settings.grid_k}x{settings.grid_m} grid", base,
+                    "no structured witness dominates")

@@ -28,8 +28,8 @@ from .ideals import (
     SoftInterior,
     SoftnessResult,
     ZeroIdeal,
-    member,
     reduce_ideal,
+    require_member,
 )
 from .sequences import (
     SeqExpr,
@@ -262,11 +262,7 @@ def verify_product_split(
     sampled grid, which keeps million-bit integers out of the dense loop.
     """
     prod = reduce_ideal(IdealProduct(left, right))
-    pre = member(c_expr, prod, settings=settings)
-    if not pre.is_yes:
-        raise PreconditionError(
-            f"the sequence must belong to the product ideal; verdict was {pre.outcome.value}"
-        )
+    require_member(c_expr, prod, "the sequence must belong to the product ideal; verdict", settings=settings)
     rl, rr = reduce_ideal(left), reduce_ideal(right)
     gen_l = rl.generator if isinstance(rl, (Principal, SoftInterior)) else None
     gen_r = rr.generator if isinstance(rr, (Principal, SoftInterior)) else None

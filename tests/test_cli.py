@@ -119,3 +119,24 @@ def test_classify_fg_needs_generators_and_ideal(capsys):
     code, _, err = run(capsys, "classify-fg", "KH")
     assert code == 1
     assert "error" in err
+
+
+def test_soft_closed_form_ignores_the_grid(capsys):
+    code, out, _ = run(capsys, "soft", "geo(1/2)", "KH", "--grid", "1,1")
+    assert code == 0
+    assert "verdict: yes" in out and "k=2" in out
+
+
+def test_soft_huge_finite_support_answers_at_once(capsys):
+    code, out, _ = run(capsys, "soft", "amp(1000000000000,fin(1))", "KH")
+    assert code == 0
+    assert "verdict: yes" in out
+    assert "t_witness: amp(1000000000000,fin(1))" in out
+
+
+def test_deep_input_ends_in_one_line_error(capsys):
+    deep = "sum(" * 1300 + "pow(1)" + ",pow(2))" * 1300
+    code, out, err = run(capsys, "member", deep, "KH")
+    assert code == 1
+    assert "Traceback" not in out + err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -159,3 +159,12 @@ def test_operations_are_pure_under_concurrency(rng):
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(lambda ab: (big_o(*ab).outcome, little_o(*ab).outcome), pairs))
     assert parallel == serial
+
+
+def test_numeric_mode_decides_a_short_finite_left_side_exactly():
+    # the window starts at index 16, past the support of fin(1000), where it
+    # would sample only zeros; a_1/b_1 = 1000
+    v = big_o(op.finite([1000]), op.power_log(1), mode="numeric")
+    assert v.is_yes and v.witness.constant >= 1000
+    assert v == big_o(op.finite([1000]), op.power_log(1))
+    assert little_o(op.finite([1000]), op.power_log(1), mode="numeric").is_yes

@@ -1,12 +1,14 @@
 import math
 import random
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 import opideals as op
-from opideals.compare import big_o
+from opideals import compare, ideals, oracle
+from opideals.compare import Settings, big_o
 from opideals.growth import amp_class, class_big_o, class_little_o, min_ampliation_order, profile
 from opideals.ideals import (
     FH,
@@ -24,7 +26,7 @@ from opideals.ideals import (
     reduce_ideal,
 )
 
-from conftest import random_atom
+from conftest import random_atom, random_expr
 
 P1 = op.power_log(1)
 P2 = op.power_log(2)
@@ -342,3 +344,105 @@ def test_witness_orders_at_exact_rate_ties():
     damped = op.seq_product(G2, op.power_log(1))
     v3 = member(damped, SoftInterior(quarter))
     assert v3.is_yes and v3.witness.m == 2
+
+
+def test_soft_rates_near_one_need_orders_past_the_grid():
+    # the witness order m exceeds the 32x32 grid; the closed form finds it
+    for s, g, m in (("49/50", "1/2", 69), ("99/100", "1/1000", 1375)):
+        res = is_soft(op.geometric(Fraction(s)), Principal(op.geometric(Fraction(g))))
+        assert res.verdict.is_yes and (res.k, res.m) == (2, m)
+        assert res.t_witness == op.ampliate(op.geometric(Fraction(g)), m)
+        assert member(res.t_witness, Principal(op.geometric(Fraction(g)))).is_yes
+
+
+def test_soft_rate_within_a_billionth_of_one():
+    start = time.perf_counter()
+    res = is_soft(op.geometric(Fraction(999999999, 10**9)), Principal(G2))
+    elapsed = time.perf_counter() - start
+    assert res.verdict.is_yes and (res.k, res.m) == (2, 1386294361)
+    assert elapsed < 0.1
+
+
+def test_soft_huge_finite_support_answers_at_once():
+    s = op.ampliate(op.finite([1]), 10**12)
+    start = time.perf_counter()
+    for ideal in (KH(), Principal(G2)):
+        res = is_soft(s, ideal)
+        assert res.verdict.is_yes and res.k == 1
+        assert res.t_witness == s
+    assert time.perf_counter() - start < 0.1
+
+
+def _soft_corpus(rng, count):
+    """S in J, with J cycling through the compacts, principal, soft-interior and power ideals."""
+    out = []
+    while len(out) < count:
+        kind = len(out) % 4
+        gen = random_expr(rng, 1)
+        ideal = (KH(), Principal(gen), IdealProduct(Principal(gen), KH()), IdealPower(Principal(gen), 2))[kind]
+        s = random_expr(rng, 2)
+        if kind and rng.random() < 0.5:
+            s = op.seq_product(op.ampliate(gen, rng.randrange(1, 4)), s)
+        if member(s, ideal).is_yes:
+            out.append((s, ideal))
+    return out
+
+
+def test_symbolic_softness_does_not_depend_on_the_grid(rng):
+    tiny = Settings(grid_k=1, grid_m=1)
+    verdicts = set()
+    for s, ideal in _soft_corpus(rng, 80):
+        res = is_soft(s, ideal)
+        assert is_soft(s, ideal, settings=tiny) == res
+        verdicts.add(res.verdict.outcome)
+    assert len(verdicts) == 2
+
+
+def test_every_soft_yes_carries_a_checked_witness(rng):
+    yes = 0
+    for s, ideal in _soft_corpus(rng, 80):
+        res = is_soft(s, ideal)
+        if not res.verdict.is_yes:
+            continue
+        yes += 1
+        assert big_o(s, op.seq_product(op.ampliate(s, res.k), res.t_witness)).is_yes
+        assert member(res.t_witness, ideal).is_yes
+        if yes % 4 == 1:
+            rep = oracle.verify_softness_witness(s, res, n_max=10**4)
+            assert rep.passed, (op.render_seq(s), rep.detail)
+    assert yes >= 20
+
+
+def test_softness_samples_one_constant_per_yes_and_none_per_no(monkeypatch):
+    calls = []
+    sampled = compare.observed_constant
+
+    def counting(a, b, settings):
+        calls.append(a)
+        return sampled(a, b, settings)
+
+    monkeypatch.setattr(compare, "observed_constant", counting)
+    monkeypatch.setattr(ideals, "observed_constant", counting)
+    for s, ideal, yes in ((G2, Principal(P1), True), (G2, KH(), True), (P2, Principal(P1), False),
+                          (P1, KH(), False), (op.geometric(Fraction(1, 3)), IdealProduct(Principal(G2), KH()), True)):
+        calls.clear()
+        res = op.classify_principal(s, ideal)
+        assert res.softness.verdict.is_yes is yes
+        if yes:
+            assert len(calls) == 1
+        calls.clear()
+        is_soft(s, ideal)
+        assert len(calls) == (1 if yes else 0)
+
+
+def test_preconditions_keep_their_messages():
+    with pytest.raises(PreconditionError, match="only defined for S in J; membership verdict was no"):
+        is_soft(P1, Principal(G2))
+    with pytest.raises(PreconditionError, match="classification needs S in J; membership verdict was no"):
+        op.classify_principal(P1, Principal(G2))
+    with pytest.raises(PreconditionError, match="a membership verdict was no"):
+        op.classify_finitely_generated([G2, P1], Principal(G2))
+    with pytest.raises(PreconditionError, match="the chain probe needs S in J; membership verdict was no"):
+        op.probe_chain_link(P1, Principal(G2))
+    with pytest.raises(PreconditionError, match="product ideal; verdict was no"):
+        oracle.verify_product_split(P1, Principal(P1), Principal(P1), n_max=100)
