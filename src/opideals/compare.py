@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .growth import class_big_o, class_little_o, profile
 from .sequences import SeqExpr, eval_log_many, evaluate, support
@@ -122,12 +123,20 @@ DEFAULT_SETTINGS = Settings()
 
 
 def sample_indices(lo: int, hi: int, count: int) -> list[int]:
+    """About ``count`` integers spread geometrically over [lo, hi], sorted, ending at hi."""
+    return list(_sample_indices(lo, hi, count))
+
+
+@lru_cache(maxsize=32)
+def _sample_indices(lo: int, hi: int, count: int) -> tuple[int, ...]:
+    # every witness constant and every No certificate asks for the same few
+    # (lo, hi, count), so the list is built once per key
     if hi < lo:
         lo, hi = hi, lo
     if lo < 1:
         lo = 1
     if count < 2 or lo == hi:
-        return [hi]
+        return (hi,)
     ratio = (hi / lo) ** (1.0 / (count - 1))
     out: set[int] = set()
     x = float(lo)
@@ -135,7 +144,7 @@ def sample_indices(lo: int, hi: int, count: int) -> list[int]:
         out.add(min(hi, max(lo, round(x))))
         x *= ratio
     out.add(hi)
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def _ratio_logs(a: SeqExpr, b: SeqExpr, ns: list[int], both_zero: float) -> list[float]:

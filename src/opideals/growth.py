@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 from .sequences import (
@@ -31,7 +30,6 @@ from .sequences import (
     Scale,
     SeqExpr,
     Sum,
-    support,
 )
 
 ONE = Fraction(1)
@@ -131,8 +129,45 @@ def dominant(a: GrowthClass, b: GrowthClass) -> GrowthClass:
     raise AssertionError("growth classes are totally ordered")
 
 
-@lru_cache(maxsize=None)
 def profile(e: SeqExpr) -> Profile:
+    """Support size and growth class of the sequence ``e`` denotes.
+
+    One post-order walk with an explicit stack fills the ``_profile`` slot of
+    each node that lacks one, so depth is bounded only by memory.  A global
+    cache keyed by the tree would rehash the whole subtree on every lookup
+    (frozen dataclasses do not cache their hash), compare it recursively on a
+    hit, and keep every tree it has seen alive; the memo on the node costs
+    none of that and dies with it.  Threads that fill one memo at once store
+    equal values.
+    """
+    try:
+        return e._profile
+    except AttributeError:
+        pass
+    todo = [e]
+    while todo:
+        node = todo[-1]
+        kids = _children(node)
+        missing = [k for k in kids if not hasattr(k, "_profile")]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        if not hasattr(node, "_profile"):  # a shared subtree may be pushed twice
+            object.__setattr__(node, "_profile", _node_profile(node, *[k._profile for k in kids]))
+    return e._profile
+
+
+def _children(e: SeqExpr) -> tuple[SeqExpr, ...]:
+    if isinstance(e, (Scale, Ampliate, Decimate)):
+        return (e.inner,)
+    if isinstance(e, (Sum, Max, Product)):
+        return (e.left, e.right)
+    return ()
+
+
+def _node_profile(e: SeqExpr, *kids: Profile) -> Profile:
+    """The profile of one node, from its children's profiles."""
     if isinstance(e, PowerLog):
         return Profile(None, _mk(ONE, 1, e.p, e.q))
     if isinstance(e, Geometric):
@@ -140,19 +175,19 @@ def profile(e: SeqExpr) -> Profile:
     if isinstance(e, Finite):
         return Profile(len(e.values), None)
     if isinstance(e, Scale):
-        return profile(e.inner)
+        return kids[0]
     if isinstance(e, Ampliate):
-        p = profile(e.inner)
+        p = kids[0]
         if p.support is not None:
             return Profile(e.order * p.support, None)
         return Profile(None, amp_class(p.growth, e.order))
     if isinstance(e, Decimate):
-        p = profile(e.inner)
+        p = kids[0]
         if p.support is not None:
             return Profile(p.support // e.step, None)
         return Profile(None, dec_class(p.growth, e.step))
     if isinstance(e, (Sum, Max)):
-        pa, pb = profile(e.left), profile(e.right)
+        pa, pb = kids
         if pa.support is not None and pb.support is not None:
             return Profile(max(pa.support, pb.support), None)
         if pa.support is not None:
@@ -161,10 +196,10 @@ def profile(e: SeqExpr) -> Profile:
             return pa
         return Profile(None, dominant(pa.growth, pb.growth))
     if isinstance(e, Product):
-        pa, pb = profile(e.left), profile(e.right)
-        if pa.support is not None or pb.support is not None:
-            return Profile(support(e), None)
-        return Profile(None, mul_class(pa.growth, pb.growth))
+        pa, pb = kids
+        if pa.support is None and pb.support is None:
+            return Profile(None, mul_class(pa.growth, pb.growth))
+        return Profile(min(s for s in (pa.support, pb.support) if s is not None), None)
     raise TypeError(f"not a sequence expression: {e!r}")
 
 

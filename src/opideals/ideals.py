@@ -384,12 +384,17 @@ def _included(a: IdealDesc, b: IdealDesc, settings: Settings, mode: str) -> Verd
         if support(gen) is not None:
             return Verdict.yes(Witness(note="finitely supported generator"))
         return Verdict.no(Certificate(note="generator has infinite support, so the ideal exceeds finite rank"))
-    # a is Principal or SoftInterior, b is Principal or SoftInterior
-    if isinstance(a, Principal) and isinstance(b, SoftInterior):
-        return member(a.generator, b, settings=settings, mode=mode)
-    # soft interiors compare at generator level: (g)K(H) <= (h)K(H) and
+    # a is Principal or SoftInterior, b is Principal or SoftInterior; soft
+    # interiors compare at generator level: (g)K(H) <= (h)K(H) and
     # (g)K(H) <= (h) both reduce to g belonging to (h) up to ampliation
-    return member(a.generator, Principal(b.generator), settings=settings, mode=mode)
+    target = b if isinstance(a, Principal) and isinstance(b, SoftInterior) else Principal(b.generator)
+    if mode != "numeric":
+        # ideal_equal keeps only the outcome of a Yes, so none is sampled;
+        # member runs only for the certificate of a No
+        m = _member_order(a.generator, target)  # reduced, since b is
+        if m is not None:
+            return Verdict.yes(Witness(m=m, note="the generator lies in the other ideal"))
+    return member(a.generator, target, settings=settings, mode=mode)
 
 
 def _finite_soft_result(s_expr: SeqExpr) -> SoftnessResult:

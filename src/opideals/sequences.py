@@ -40,12 +40,16 @@ def as_fraction(x: RationalLike, what: str = "value") -> Fraction:
 
 
 class SeqExpr:
-    """Base class for sequence expressions; all nodes are immutable."""
+    """Base class for sequence expressions; all nodes are immutable.
 
-    __slots__ = ()
+    The one slot ``_profile`` is not a field: ``growth.profile`` memoises the
+    node's profile there, so equality, hashing and ``repr`` never see it.
+    """
+
+    __slots__ = ("_profile",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowerLog(SeqExpr):
     """n |-> n^(-p) * log(n+1)^(-q).  Uses log(n+1) so every term is positive."""
 
@@ -63,7 +67,7 @@ class PowerLog(SeqExpr):
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Geometric(SeqExpr):
     """n |-> r^n with 0 < r < 1."""
 
@@ -74,7 +78,7 @@ class Geometric(SeqExpr):
             raise DomainError(f"geometric ratio must lie in (0,1), got {self.ratio}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finite(SeqExpr):
     """A finitely supported sequence; zero beyond its stored values.
 
@@ -96,7 +100,7 @@ class Finite(SeqExpr):
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scale(SeqExpr):
     factor: Fraction
     inner: SeqExpr
@@ -106,7 +110,7 @@ class Scale(SeqExpr):
             raise DomainError(f"scale factor must be positive, got {self.factor}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ampliate(SeqExpr):
     """Repeat every entry of the inner sequence ``order`` times."""
 
@@ -118,7 +122,7 @@ class Ampliate(SeqExpr):
             raise DomainError("ampliation order must be a positive integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decimate(SeqExpr):
     """n |-> inner(step * n)."""
 
@@ -130,19 +134,19 @@ class Decimate(SeqExpr):
             raise DomainError("decimation step must be a positive integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum(SeqExpr):
     left: SeqExpr
     right: SeqExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Max(SeqExpr):
     left: SeqExpr
     right: SeqExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product(SeqExpr):
     left: SeqExpr
     right: SeqExpr
@@ -324,59 +328,50 @@ def _log_product(la: float, lb: float) -> float:
 
 
 def _log_many(e: SeqExpr, ns: tuple[int, ...]) -> list[float]:
-    if isinstance(e, PowerLog):
-        fp, fq = -float(e.p), float(e.q)
-        logs, loglogs = _log_columns(ns)
-        return [fp * x - fq * y for x, y in zip(logs, loglogs)]
-    if isinstance(e, Geometric):
-        lr = _log_fraction(e.ratio)
-        return [n * lr for n in ns]
-    if isinstance(e, Finite):
-        vals, size = e.values, len(e.values)
-        return [_log_fraction(vals[n - 1]) if n <= size else -math.inf for n in ns]
-    if isinstance(e, Scale):
-        lf = _log_fraction(e.factor)
-        return [lf + x for x in _log_many(e.inner, ns)]
-    if isinstance(e, Ampliate):
-        m = e.order
-        return _log_many(e.inner, tuple([-(-n // m) for n in ns]))
-    if isinstance(e, Decimate):
-        k = e.step
-        return _log_many(e.inner, tuple([k * n for n in ns]))
-    if isinstance(e, Sum):
-        return list(map(_log_sum, _log_many(e.left, ns), _log_many(e.right, ns)))
-    if isinstance(e, Max):
-        return list(map(max, _log_many(e.left, ns), _log_many(e.right, ns)))
-    if isinstance(e, Product):
-        return list(map(_log_product, _log_many(e.left, ns), _log_many(e.right, ns)))
-    raise TypeError(f"not a sequence expression: {e!r}")
+    # post-order with an explicit stack, so depth is bounded only by memory;
+    # a (node, None) entry combines the node's children's finished columns
+    todo: list[tuple[SeqExpr, tuple[int, ...] | None]] = [(e, ns)]
+    done: list[list[float]] = []
+    while todo:
+        e, ns = todo.pop()
+        if ns is None:
+            if isinstance(e, Scale):
+                lf = _log_fraction(e.factor)
+                done.append([lf + x for x in done.pop()])
+                continue
+            right, left = done.pop(), done.pop()
+            combine = _log_sum if isinstance(e, Sum) else max if isinstance(e, Max) else _log_product
+            done.append(list(map(combine, left, right)))
+        elif isinstance(e, PowerLog):
+            fp, fq = -float(e.p), float(e.q)
+            logs, loglogs = _log_columns(ns)
+            done.append([fp * x - fq * y for x, y in zip(logs, loglogs)])
+        elif isinstance(e, Geometric):
+            lr = _log_fraction(e.ratio)
+            done.append([n * lr for n in ns])
+        elif isinstance(e, Finite):
+            vals, size = e.values, len(e.values)
+            done.append([_log_fraction(vals[n - 1]) if n <= size else -math.inf for n in ns])
+        elif isinstance(e, Scale):
+            todo += [(e, None), (e.inner, ns)]
+        elif isinstance(e, Ampliate):
+            m = e.order
+            todo.append((e.inner, tuple([-(-n // m) for n in ns])))
+        elif isinstance(e, Decimate):
+            k = e.step
+            todo.append((e.inner, tuple([k * n for n in ns])))
+        elif isinstance(e, (Sum, Max, Product)):
+            todo += [(e, None), (e.right, ns), (e.left, ns)]
+        else:
+            raise TypeError(f"not a sequence expression: {e!r}")
+    return done[0]
 
 
 def support(e: SeqExpr) -> int | None:
     """Number of nonzero entries, or None when the sequence never vanishes."""
-    if isinstance(e, (PowerLog, Geometric)):
-        return None
-    if isinstance(e, Finite):
-        return len(e.values)
-    if isinstance(e, Scale):
-        return support(e.inner)
-    if isinstance(e, Ampliate):
-        s = support(e.inner)
-        return None if s is None else e.order * s
-    if isinstance(e, Decimate):
-        s = support(e.inner)
-        return None if s is None else s // e.step
-    if isinstance(e, (Sum, Max)):
-        sa, sb = support(e.left), support(e.right)
-        return None if sa is None or sb is None else max(sa, sb)
-    if isinstance(e, Product):
-        sa, sb = support(e.left), support(e.right)
-        if sa is None:
-            return sb
-        if sb is None:
-            return sa
-        return min(sa, sb)
-    raise TypeError(f"not a sequence expression: {e!r}")
+    from .growth import profile  # growth imports this module
+
+    return profile(e).support
 
 
 def is_zero(e: SeqExpr) -> bool:

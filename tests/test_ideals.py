@@ -435,6 +435,30 @@ def test_softness_samples_one_constant_per_yes_and_none_per_no(monkeypatch):
         assert len(calls) == (1 if yes else 0)
 
 
+def test_ideal_equal_samples_no_constant(monkeypatch, rng):
+    calls = []
+    sampled = compare.observed_constant
+
+    def counting(a, b, settings):
+        calls.append(a)
+        return sampled(a, b, settings)
+
+    monkeypatch.setattr(compare, "observed_constant", counting)
+    monkeypatch.setattr(ideals, "observed_constant", counting)
+    soft = IdealProduct(Principal(G2), KH())
+    v = ideal_equal(Principal(G2), soft)
+    assert v.is_yes and v.witness.note == "mutual inclusion of reduced generators"
+    v = ideal_equal(Principal(P1), IdealProduct(Principal(P1), KH()))
+    assert v.is_no and v.certificate.note.startswith("left not included in right: ")
+    assert ideal_equal(Principal(op.ampliate(G2, 3)), Principal(G2)).is_yes
+    assert calls == []
+    # the outcome is still that of the two sampled memberships
+    for _ in range(40):
+        a, b = random_expr(rng), random_expr(rng)
+        want = member(a, Principal(b)).is_yes and member(b, Principal(a)).is_yes
+        assert ideal_equal(Principal(a), Principal(b)).is_yes is want
+
+
 def test_preconditions_keep_their_messages():
     with pytest.raises(PreconditionError, match="only defined for S in J; membership verdict was no"):
         is_soft(P1, Principal(G2))

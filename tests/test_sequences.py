@@ -263,3 +263,11 @@ def test_observed_constant_unchanged_by_batched_evaluation(rng):
             assert observed_constant(a, b, DEFAULT_SETTINGS) == rational_ceiling(2 * max(want, 1e-30))
             checked += 1
     assert checked >= 30
+
+
+def test_sample_indices_returns_a_fresh_list_each_call():
+    first = sample_indices(16, 1 << 20, 64)
+    assert isinstance(first, list) and first == sorted(set(first)) and first[-1] == 1 << 20
+    first.append(0)
+    assert sample_indices(16, 1 << 20, 64) == first[:-1]
+    assert sample_indices(5, 5, 10) == [5]
