@@ -379,10 +379,14 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, DomainError, PreconditionError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RecursionError, MemoryError, OverflowError) as exc:
+    except Exception as exc:  # the safety net: any other failure is one line, never a traceback
         detail = " ".join(str(exc).split())
-        print(f"error: input too large or too deeply nested ({type(exc).__name__}{': ' + detail if detail else ''})",
-              file=sys.stderr)
+        what = (
+            "input too large or too deeply nested"
+            if isinstance(exc, (RecursionError, MemoryError, OverflowError))
+            else "internal error"
+        )
+        print(f"error: {what} ({type(exc).__name__}{': ' + detail if detail else ''})", file=sys.stderr)
         return 1
 
 

@@ -15,8 +15,9 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
+from .envelope import constant_from_log, log_sup_ratio
 from .growth import class_big_o, class_little_o, profile
-from .sequences import SeqExpr, eval_log_many, evaluate, support
+from .sequences import SeqExpr, eval_log_many, support
 
 
 class Outcome(str, Enum):
@@ -94,10 +95,11 @@ class Settings:
     ``divergence_threshold`` yields No, a ratio stuck above
     ``vanishing_threshold`` refutes little-o, and anything else is Unknown.
 
-    Symbolic Yes verdicts carry the same kind of constant (see
-    ``observed_constant``): ``constant_factor`` times the supremum sampled
-    over the head 1..1024 plus ``2 * sample_count`` geometric samples of the
-    window.  It is sampled, not a proven bound.
+    Symbolic Yes verdicts carry a proven constant instead (see
+    ``certified_constant``): ``constant_factor`` times a bound on the
+    supremum of a_n/b_n over every n >= 1, derived from the expressions
+    without sampling, so the window and the sample count leave it unchanged.
+    A factor of at least one keeps it a bound.
 
     ``grid_k`` and ``grid_m`` bound the sampled witness searches only:
     softness and membership in numeric mode, and the oracle's factor check.
@@ -189,16 +191,27 @@ def rational_ceiling(x: float) -> Fraction:
 
 
 def observed_constant(a: SeqExpr, b: SeqExpr, settings: Settings) -> Fraction:
-    """The witness constant of a Yes: ``constant_factor`` times the sampled supremum.
+    """A sampled witness constant, for ``mode="numeric"`` only.
 
-    With the default settings this is twice the supremum of a_n/b_n over the
-    head 1..1024 plus 128 geometric samples of the window.  It is sampled,
-    not a proven bound: ``big_o(pow(1), sum(pow(1),scale(1000,pow(1,1/4))))``
-    answers Yes with C ~ 0.00385, while the ratio tends to 1 (it is already
-    0.0051 at n = 1e300).
+    ``constant_factor`` times the supremum of a_n/b_n over the head 1..1024
+    plus ``2 * sample_count`` geometric samples of the window.  It is not a
+    proven bound: for ``pow(1)`` against ``sum(pow(1),scale(1000,pow(1,1/4)))``
+    it is about 0.00385, while the ratio tends to 1.  The symbolic path uses
+    ``certified_constant``.
     """
     sup = observed_supremum(a, b, settings)
     return rational_ceiling(settings.constant_factor * max(sup, 1e-30))
+
+
+def certified_constant(a: SeqExpr, b: SeqExpr, settings: Settings) -> Fraction:
+    """The witness constant of a symbolic Yes: a_n <= C b_n for every n >= 1, proven.
+
+    C is ``constant_factor`` times an upper bound on sup a_n/b_n from the log
+    envelopes of ``opideals.envelope`` (piece by piece when a is finitely
+    supported).  Needs a = O(b).  Nothing is sampled, so no window or sample
+    count enters.
+    """
+    return constant_from_log(log_sup_ratio(a, b) + math.log(settings.constant_factor))
 
 
 def _tail_samples(a: SeqExpr, b: SeqExpr, settings: Settings, count: int = 4) -> tuple:
@@ -208,7 +221,11 @@ def _tail_samples(a: SeqExpr, b: SeqExpr, settings: Settings, count: int = 4) ->
 
 
 def _finite_supports(a: SeqExpr, b: SeqExpr, sa: int, sb: int, strict: bool, settings: Settings) -> Verdict:
-    """Both sides finitely supported (sizes sa, sb): decide exactly, entry by entry."""
+    """Both sides finitely supported (sizes sa, sb): decided by the supports.
+
+    The constant compares the two sides at the starts and ends of their
+    pieces (``certified_constant``), never index by index.
+    """
     if strict:
         # the tail ratio is 0/0, which never witnesses little-o
         return Verdict.no(
@@ -219,13 +236,9 @@ def _finite_supports(a: SeqExpr, b: SeqExpr, sa: int, sb: int, strict: bool, set
         )
     if sa > sb:
         return Verdict.no(Certificate(window=(sb + 1, sa), note="left support exceeds right support"))
-    sup = 0.0
-    for n in range(1, sa + 1):
-        va, vb = evaluate(a, n), evaluate(b, n)
-        sup = max(sup, float(va) / float(vb))
     return Verdict.yes(
         Witness(
-            constant=rational_ceiling(settings.constant_factor * sup),
+            constant=certified_constant(a, b, settings),
             window=(1, sa),
             note="finite supports compared pointwise",
         )
@@ -257,7 +270,7 @@ def _symbolic(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings) -> Verdi
             )
         return Verdict.yes(
             Witness(
-                constant=observed_constant(a, b, settings),
+                constant=certified_constant(a, b, settings),
                 window=window,
                 note="finitely supported left side",
             )
@@ -265,7 +278,7 @@ def _symbolic(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings) -> Verdi
     ok = class_little_o(pa.growth, pb.growth) if strict else class_big_o(pa.growth, pb.growth)
     if ok:
         return Verdict.yes(
-            Witness(constant=observed_constant(a, b, settings), window=window, note="growth-class domination")
+            Witness(constant=certified_constant(a, b, settings), window=window, note="growth-class domination")
         )
     kind = "does not vanish" if strict and class_big_o(pa.growth, pb.growth) else "grows without bound"
     return Verdict.no(

@@ -70,12 +70,41 @@ class Profile:
 
 
 def rate_cmp(a: GrowthClass, b: GrowthClass) -> int:
-    """Compare decay rates base^(1/root) exactly via cross powers."""
+    """Compare decay rates base^(1/root) exactly, without powers of the bases.
+
+    Equal roots compare their bases.  Otherwise the ratio of the log rates is
+    bracketed (``_ratio_bracket``), so the cost does not grow with the roots,
+    that is with ampliation and decimation orders.
+    """
     if a.base == 1 and b.base == 1:
         return 0
-    lhs = a.base**b.root
-    rhs = b.base**a.root
-    return (lhs > rhs) - (lhs < rhs)
+    if a.root == b.root or a.base == 1 or b.base == 1:
+        return (a.base > b.base) - (a.base < b.base)
+    bracket = _ratio_bracket(a, b)
+    if bracket is None:
+        return 0
+    return 1 if bracket[0] > 1 else -1
+
+
+def _ratio_bracket(a: GrowthClass, b: GrowthClass):
+    """Bounds (lo, hi) on t = log rate(b) / log rate(a) that exclude 1, or None on a tie.
+
+    Both rates lie below one, so t > 0, and t > 1 exactly when rate(a) >
+    rate(b).  The bracket of ``_order_bracket`` is taken in floats and then
+    in ever more decimal digits until it leaves 1 out, or holds 1 and the
+    rates tie exactly (``_rates_tie`` at order 1).  Unequal rates make t != 1,
+    so the loop ends.
+    """
+    prec = 0
+    while True:
+        bracket = _order_bracket(a, b, prec)
+        prec = 2 * prec if prec else 40
+        if bracket is None:
+            continue
+        if bracket[0] > 1 or bracket[1] < 1:
+            return bracket
+        if _rates_tie(a, b, 1):
+            return None
 
 
 def class_big_o(a: GrowthClass, b: GrowthClass) -> bool:
@@ -201,13 +230,6 @@ def _node_profile(e: SeqExpr, *kids: Profile) -> Profile:
             return Profile(None, mul_class(pa.growth, pb.growth))
         return Profile(min(s for s in (pa.support, pb.support) if s is not None), None)
     raise TypeError(f"not a sequence expression: {e!r}")
-
-
-def _rate_log(c: GrowthClass) -> float:
-    """log(rate) as a float; 0.0 for rate one."""
-    if c.base == 1:
-        return 0.0
-    return (math.log(c.base.numerator) - math.log(c.base.denominator)) / c.root
 
 
 def min_ampliation_order(eta: Profile, gen: Profile, strict: bool) -> int | None:

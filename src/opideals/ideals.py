@@ -32,6 +32,7 @@ from .compare import (
     Verdict,
     Witness,
     big_o,
+    certified_constant,
     little_o,
     observed_constant,
 )
@@ -251,7 +252,7 @@ def _member_reduced(eta: SeqExpr, red: IdealDesc, settings: Settings, mode: str)
         cert = base.certificate or Certificate(note=note)
         return Verdict.no(Certificate(window=cert.window, note=f"{note}: {cert.note}", samples=cert.samples))
     target = ampliate(gen, m)
-    constant = observed_constant(eta, target, settings)
+    constant = certified_constant(eta, target, settings)
     return Verdict.yes(
         Witness(m=m, constant=constant, window=(1, settings.window_hi), note="ampliated generator dominates")
     )
@@ -480,7 +481,7 @@ def is_soft(
         has rate one, or rate rho_g^(1/m) -> 1, which eventually beats
         rho^(1/2) < 1.
 
-    A Yes samples one witness constant, for s against D_2 s * t; a No carries
+    A Yes carries one certified witness constant, for s against D_2 s * t; a No carries
     the certificate (window and tail samples) of one comparison at k = 2.
     With ``mode="numeric"`` the engine instead searches the witness grid of
     the settings (k up to ``grid_k``, m up to ``grid_m``) with sampled
@@ -512,7 +513,7 @@ def is_soft(
         quotient = Profile(None, GrowthClass(c.base, 2 * c.root, Fraction(0), Fraction(0)))
         m = min_ampliation_order(quotient, profile(_generator_witness(gen, 1, damped)), strict=False)
         t = _generator_witness(gen, m, damped)
-    constant = observed_constant(s_expr, seq_product(ampliate(s_expr, 2), t), settings)
+    constant = certified_constant(s_expr, seq_product(ampliate(s_expr, 2), t), settings)
     note = "rate below one: s/D_2 s decays like the square root of the rate, and a witness in J absorbs it"
     verdict = Verdict.yes(Witness(k=2, m=m, constant=constant, window=(1, settings.window_hi), note=note))
     return SoftnessResult(verdict=verdict, k=2, m=m, t_witness=t)

@@ -438,7 +438,8 @@ def verify_softness_witness(
         raise PreconditionError("softness result lacks a witness sequence")
     k = result.k or 1
     witness = result.verdict.witness
-    constant = float(witness.constant) if witness and witness.constant is not None else 2.0
+    exact = witness.constant if witness and witness.constant is not None else 2
+    constant = float(exact) if exact < 1e300 else math.inf  # a certified constant can pass the float range
     bound_expr = seq_product(ampliate(s_expr, k), result.t_witness)
     idx = sorted(set(range(1, min(n_max, 2048) + 1)) | set(sample_indices(1, n_max, 96)))
     observed = []

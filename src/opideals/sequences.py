@@ -42,11 +42,12 @@ def as_fraction(x: RationalLike, what: str = "value") -> Fraction:
 class SeqExpr:
     """Base class for sequence expressions; all nodes are immutable.
 
-    The one slot ``_profile`` is not a field: ``growth.profile`` memoises the
-    node's profile there, so equality, hashing and ``repr`` never see it.
+    The slots ``_profile`` and ``_envelope`` are not fields: ``growth.profile``
+    memoises the node's profile in the first and ``envelope.envelope`` its log
+    envelope in the second, so equality, hashing and ``repr`` never see them.
     """
 
-    __slots__ = ("_profile",)
+    __slots__ = ("_profile", "_envelope")
 
 
 @dataclass(frozen=True, slots=True)

@@ -140,3 +140,16 @@ def test_deep_input_ends_in_one_line_error(capsys):
     assert code == 1
     assert "Traceback" not in out + err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_internal_error_ends_in_one_line_error(capsys, monkeypatch):
+    import opideals.ideals
+
+    def broken(*args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(opideals.ideals, "certified_constant", broken)
+    code, out, err = run(capsys, "member", "geo(1/2)", "prin(geo(1/3))")
+    assert code == 1
+    assert "Traceback" not in out + err
+    assert err == "error: internal error (ZeroDivisionError: division by zero)\n"

@@ -1,9 +1,24 @@
+import math
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import opideals as op
-from opideals.compare import Outcome, Settings, Verdict, Witness, big_o, little_o
+from opideals.compare import (
+    DEFAULT_SETTINGS,
+    Outcome,
+    Settings,
+    Verdict,
+    Witness,
+    big_o,
+    little_o,
+    observed_supremum,
+    sample_indices,
+)
+from opideals.envelope import log_sup_ratio
+from opideals.growth import GrowthClass, profile, rate_cmp
 
 from conftest import random_atom, random_expr
 
@@ -168,3 +183,148 @@ def test_numeric_mode_decides_a_short_finite_left_side_exactly():
     assert v.is_yes and v.witness.constant >= 1000
     assert v == big_o(op.finite([1000]), op.power_log(1))
     assert little_o(op.finite([1000]), op.power_log(1), mode="numeric").is_yes
+
+
+# ---------------------------------------------------------------------------
+# certified witness constants
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "compare_reference.tsv"
+DENSE = tuple(range(1, 4097)) + tuple(sample_indices(4096, 1 << 40, 256))
+
+
+def reference_pairs():
+    """The sympy-settled pairs of the benchmark, oriented so that lim a/b is finite."""
+    for line in REFERENCE.read_text().splitlines():
+        a_text, b_text, cls = line.split("\t")
+        a, b = op.parse_seq(a_text), op.parse_seq(b_text)
+        yield (b, a) if cls == "infinite" else (a, b)
+
+
+def dense_log_sup(a, b) -> float:
+    """max of log(a_n/b_n) over 1..4096 and 256 geometric indices up to 2^40.
+
+    Less the scan's own rounding error: at n = 2^40 a log is about 10^12.
+    """
+    la, lb = op.eval_log_many(a, DENSE), op.eval_log_many(b, DENSE)
+    return max((x - y - 1e-12 * (abs(x) + abs(y)) for x, y in zip(la, lb) if x > -math.inf), default=-math.inf)
+
+
+def assert_certified(a, b) -> float:
+    """The certified log sup is at least the sampled one and a dense scan; returns the scan."""
+    bound, dense = log_sup_ratio(a, b), dense_log_sup(a, b)
+    sampled = observed_supremum(a, b, DEFAULT_SETTINGS)
+    assert bound >= (math.log(sampled) if sampled else -math.inf), (op.render_seq(a), op.render_seq(b))
+    assert bound >= dense - 1e-9, (op.render_seq(a), op.render_seq(b))
+    return dense
+
+
+def test_certified_constant_is_a_bound_where_sampling_fell_short():
+    # the sampled constant was about 0.00385, while a_n/b_n tends to 1
+    a, b = op.power_log(1), op.parse_seq("sum(pow(1),scale(1000,pow(1,1/4)))")
+    v = big_o(a, b)
+    assert v.is_yes and v.witness.constant >= 1
+    assert v.witness.constant <= 2 * (1 + 1e-6)
+
+
+def test_certified_constants_cover_the_reference_pairs_and_a_dense_scan():
+    pairs = list(reference_pairs())
+    assert len(pairs) == 673
+    for i, (a, b) in enumerate(pairs):
+        dense = assert_certified(a, b)
+        v = big_o(a, b)
+        assert v.is_yes and math.log(v.witness.constant) >= math.log(2) + dense - 1e-9
+        if i % 4 == 0:
+            w = op.member(a, op.Principal(b)).witness
+            assert_certified(a, op.ampliate(b, w.m))
+
+
+def test_certified_constants_cover_the_random_corpus(rng):
+    checked = 0
+    for _ in range(300):
+        a, b = random_expr(rng), random_expr(rng)
+        for x, y in ((a, b), (b, a)):
+            if big_o(x, y).is_yes:
+                assert_certified(x, y)
+                checked += 1
+    assert checked >= 250
+
+
+def test_symbolic_constants_ignore_the_window(rng):
+    short = Settings(window_hi=2**10)
+
+    def constant(v):
+        return v.witness.constant if v.is_yes else v.outcome
+
+    s = op.geometric(Fraction(1, 2))
+    for _ in range(60):
+        a, b = random_expr(rng), random_expr(rng)
+        assert constant(big_o(a, b, settings=short)) == constant(big_o(a, b))
+        assert constant(little_o(a, b, settings=short)) == constant(little_o(a, b))
+        ideal = op.Principal(b)
+        assert constant(op.member(a, ideal, settings=short)) == constant(op.member(a, ideal))
+        if op.support(b) is None and op.member(s, ideal).is_yes:
+            assert constant(op.is_soft(s, ideal, settings=short).verdict) == constant(op.is_soft(s, ideal).verdict)
+
+
+def test_finite_supports_are_compared_by_piece():
+    for n in (10**8, 10**12):
+        start = time.perf_counter()
+        v = big_o(op.ampliate(op.finite([1]), n), op.ampliate(op.finite([2]), n))
+        w = big_o(op.ampliate(op.finite([3, 1]), n), op.power_log(1))
+        assert time.perf_counter() - start < 0.1
+        assert v.is_yes and 1 <= v.witness.constant <= 1 + 1e-6
+        # sup is 3 / b(n) at the end of the first piece
+        assert w.is_yes and 6 * n <= w.witness.constant <= 6 * n * (1 + 1e-6)
+        assert big_o(op.ampliate(op.finite([2]), n + 1), op.ampliate(op.finite([2]), n)).is_no
+
+
+def test_finite_piece_constants_are_exact(rng):
+    checked = 0
+    for _ in range(400):
+        a, b = random_expr(rng), random_expr(rng)
+        sa, sb = op.support(a), op.support(b)
+        if sa is None or not sa or (sb is not None and sb < sa):
+            continue
+        n_max = sa
+        want = max(float(op.evaluate(a, n)) / float(op.evaluate(b, n)) for n in range(1, n_max + 1))
+        got = float(big_o(a, b).witness.constant) / 2
+        assert want * (1 - 1e-9) <= got, (op.render_seq(a), op.render_seq(b))
+        if sb is not None:  # both piecewise constant: the pieces give the maximum itself
+            assert got <= want * (1 + 1e-6), (op.render_seq(a), op.render_seq(b))
+        checked += 1
+    assert checked >= 20
+
+
+def old_rate_cmp(a: GrowthClass, b: GrowthClass) -> int:
+    """The exact cross-power comparison that ``rate_cmp`` replaced."""
+    if a.base == 1 and b.base == 1:
+        return 0
+    lhs, rhs = a.base**b.root, b.base**a.root
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def test_rate_cmp_matches_cross_powers_on_small_orders(rng):
+    classes = []
+    for _ in range(200):
+        e = random_expr(rng)
+        if op.support(e) is None:
+            classes.append(profile(e).growth)
+        classes.append(profile(op.ampliate(op.geometric(Fraction(1, 2)), rng.randrange(1, 9))).growth)
+        classes.append(profile(op.decimate(op.geometric(Fraction(1, 4)), rng.randrange(1, 5))).growth)
+    ties = 0
+    for _ in range(3000):
+        a, b = rng.choice(classes), rng.choice(classes)
+        assert rate_cmp(a, b) == old_rate_cmp(a, b), (a, b)
+        ties += rate_cmp(a, b) == 0 and a.base != 1
+    assert ties >= 20
+
+
+def test_rate_cmp_answers_huge_orders_at_once():
+    start = time.perf_counter()
+    third, half = op.geometric(Fraction(1, 3)), op.geometric(Fraction(1, 2))
+    assert big_o(op.ampliate(third, 10**15), half).is_no
+    assert big_o(half, op.ampliate(third, 10**15)).is_yes
+    # (1/4)^(1/(2*10^15)) and (1/2)^(1/10^15) tie exactly
+    tie = profile(op.ampliate(op.geometric(Fraction(1, 4)), 2 * 10**15)).growth
+    assert rate_cmp(tie, profile(op.ampliate(half, 10**15)).growth) == 0
+    assert time.perf_counter() - start < 0.1

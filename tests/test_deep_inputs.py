@@ -1,14 +1,17 @@
 """Library questions on expression trees far deeper than the recursion limit.
 
-Profiles, supports and log evaluations walk the tree with explicit stacks,
-so a No answer, a reduction and a support never recurse into the tree.
+Profiles, supports, log evaluations and log envelopes walk the tree with
+explicit stacks, so an answer, a reduction and a support never recurse into
+the tree.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -76,3 +79,17 @@ def test_the_memo_leaves_equality_hash_and_text_alone():
     assert e == fresh and (hash(e), repr(e), op.render_seq(e)) == before
     assert hash(fresh) == before[0] and repr(fresh) == before[1]
     assert "_profile" not in {f.name for f in dataclasses.fields(e)}
+
+
+def test_ten_thousand_levels_answer_yes_with_a_certified_constant():
+    a = chain(8, 10_000, (Fraction(2), Fraction(0)))
+    b = chain(9, 10_000, (Fraction(1), Fraction(1, 2)))
+    start = time.perf_counter()
+    v = op.big_o(a, b)
+    assert time.perf_counter() - start < 1.0
+    c = v.witness.constant
+    assert v.is_yes and c >= 1
+    log_c = math.log(c.numerator) - math.log(c.denominator)
+    la, lb = op.eval_log_many(a, (1, 2, 1000, 10**6)), op.eval_log_many(b, (1, 2, 1000, 10**6))
+    assert all(x - y <= log_c for x, y in zip(la, lb))
+    assert op.member(a, op.Principal(b)).is_yes

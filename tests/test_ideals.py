@@ -413,16 +413,26 @@ def test_every_soft_yes_carries_a_checked_witness(rng):
     assert yes >= 20
 
 
-def test_softness_samples_one_constant_per_yes_and_none_per_no(monkeypatch):
+def _count_constants(monkeypatch) -> list:
+    """Count certified witness constants; a sampled one fails the test."""
     calls = []
-    sampled = compare.observed_constant
+    certified = compare.certified_constant
 
     def counting(a, b, settings):
         calls.append(a)
-        return sampled(a, b, settings)
+        return certified(a, b, settings)
 
-    monkeypatch.setattr(compare, "observed_constant", counting)
-    monkeypatch.setattr(ideals, "observed_constant", counting)
+    def sampled(a, b, settings):
+        raise AssertionError("the symbolic path sampled a witness constant")
+
+    for module in (compare, ideals):
+        monkeypatch.setattr(module, "certified_constant", counting)
+        monkeypatch.setattr(module, "observed_constant", sampled)
+    return calls
+
+
+def test_softness_samples_one_constant_per_yes_and_none_per_no(monkeypatch):
+    calls = _count_constants(monkeypatch)
     for s, ideal, yes in ((G2, Principal(P1), True), (G2, KH(), True), (P2, Principal(P1), False),
                           (P1, KH(), False), (op.geometric(Fraction(1, 3)), IdealProduct(Principal(G2), KH()), True)):
         calls.clear()
@@ -436,15 +446,7 @@ def test_softness_samples_one_constant_per_yes_and_none_per_no(monkeypatch):
 
 
 def test_ideal_equal_samples_no_constant(monkeypatch, rng):
-    calls = []
-    sampled = compare.observed_constant
-
-    def counting(a, b, settings):
-        calls.append(a)
-        return sampled(a, b, settings)
-
-    monkeypatch.setattr(compare, "observed_constant", counting)
-    monkeypatch.setattr(ideals, "observed_constant", counting)
+    calls = _count_constants(monkeypatch)
     soft = IdealProduct(Principal(G2), KH())
     v = ideal_equal(Principal(G2), soft)
     assert v.is_yes and v.witness.note == "mutual inclusion of reduced generators"
@@ -452,7 +454,7 @@ def test_ideal_equal_samples_no_constant(monkeypatch, rng):
     assert v.is_no and v.certificate.note.startswith("left not included in right: ")
     assert ideal_equal(Principal(op.ampliate(G2, 3)), Principal(G2)).is_yes
     assert calls == []
-    # the outcome is still that of the two sampled memberships
+    # the outcome is still that of the two memberships
     for _ in range(40):
         a, b = random_expr(rng), random_expr(rng)
         want = member(a, Principal(b)).is_yes and member(b, Principal(a)).is_yes

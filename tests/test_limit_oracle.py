@@ -7,6 +7,7 @@ modelled by the continuous surrogate n -> n/m, which preserves the
 zero/finite/infinite trichotomy.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import sympy
 
 import opideals as op
 from opideals.compare import big_o, little_o
+from opideals.envelope import log_sup_ratio
 from opideals.sequences import Ampliate, Decimate, Geometric, PowerLog, Product, Scale
 
 N = sympy.symbols("n", positive=True)
@@ -110,3 +112,28 @@ def test_random_pairs_match_symbolic_limits():
         if check_against_limit(a, b):
             decided += 1
     assert decided >= 25  # sympy must settle a solid majority of the draws
+
+
+def test_certified_constants_reach_the_symbolic_limit():
+    # along n divisible by every ampliation order the surrogate is exact, so
+    # sup a_n/b_n is at least the limit sympy finds
+    g, p1 = op.geometric(Fraction(1, 2)), op.power_log(1)
+    pairs = [
+        (op.scale(3, op.power_log(2)), op.power_log(2)),
+        (op.decimate(p1, 2), p1),
+        (p1, op.ampliate(p1, 2)),
+        (op.seq_product(p1, op.power_log(1, 1)), op.power_log(2, 1)),
+        (op.ampliate(op.geometric(Fraction(1, 4)), 2), g),
+        (op.scale(Fraction(5, 2), op.decimate(op.power_log(Fraction(3, 2), 1), 3)), op.power_log(Fraction(3, 2), 1)),
+        (
+            op.seq_product(op.ampliate(g, 3), op.decimate(op.power_log(2), 2)),
+            op.scale(7, op.ampliate(op.seq_product(g, op.power_log(2)), 3)),
+        ),
+        (op.decimate(op.ampliate(op.geometric(Fraction(1, 3)), 4), 2), op.ampliate(op.geometric(Fraction(1, 9)), 4)),
+    ]
+    for a, b in pairs:
+        lim = float(sympy.limit(to_sympy(a) / to_sympy(b), N, sympy.oo))
+        assert 0 < lim < float("inf")
+        v = big_o(a, b)
+        assert v.is_yes and v.witness.constant >= 2 * lim * (1 - 1e-12), (op.render_seq(a), lim)
+        assert log_sup_ratio(a, b) >= math.log(lim) - 1e-12, (op.render_seq(a), lim)
