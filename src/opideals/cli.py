@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -112,6 +113,21 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
+def _positive(kind: type):
+    """A parser of positive finite numbers of type ``kind`` (0, nan and inf are refused)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not a number of type {kind.__name__}: {text!r}") from exc
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+        return value
+
+    return parse
+
+
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
         k, m = (int(v) for v in text.split(","))
@@ -131,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser):
         p.add_argument("--window", type=_parse_window, default=None, help="sampling window N0:N1")
-        p.add_argument("--tol", type=float, default=None, help="numeric tolerance / vanishing threshold")
+        p.add_argument("--tol", type=_positive(float), default=None, help="numeric tolerance / vanishing threshold")
         p.add_argument("--grid", type=_parse_grid, default=None,
                        help="witness search bounds K_MAX,M_MAX of --numeric and oracle split (symbolic needs none)")
         p.add_argument("--json", action="store_true", help="emit one machine-readable JSON document")
@@ -173,12 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = osub.add_parser("ratio", help="harmonic-vs-ampliation ratio limit 1/m")
     q.add_argument("m", type=int)
-    q.add_argument("--n", type=int, default=10**6, help="window end")
+    q.add_argument("--n", type=_positive(int), default=10**6, help="window end")
     common(q)
 
     q = osub.add_parser("divergence", help="square-vs-cube ratio divergence")
     q.add_argument("m", type=int)
-    q.add_argument("--n", type=int, default=10**6, help="window end")
+    q.add_argument("--n", type=_positive(int), default=10**6, help="window end")
     q.add_argument("--threshold", type=float, default=1e3)
     common(q)
 
@@ -186,13 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("seq")
     q.add_argument("left")
     q.add_argument("right")
-    q.add_argument("--n", type=int, default=10**5, help="dimension of the diagonal model")
+    q.add_argument("--n", type=_positive(int), default=10**5, help="dimension of the diagonal model")
     common(q)
 
     q = osub.add_parser("witness", help="check the softness witness numerically")
     q.add_argument("seq")
     q.add_argument("ideal")
-    q.add_argument("--n", type=int, default=10**5, help="window end")
+    q.add_argument("--n", type=_positive(int), default=10**5, help="window end")
     common(q)
 
     return top
@@ -200,11 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _settings_from(ns: argparse.Namespace) -> Settings:
     kwargs = {}
-    if getattr(ns, "window", None):
+    if getattr(ns, "window", None) is not None:
         kwargs["window_lo"], kwargs["window_hi"] = ns.window
-    if getattr(ns, "tol", None):
+    if getattr(ns, "tol", None) is not None:
         kwargs["vanishing_threshold"] = ns.tol
-    if getattr(ns, "grid", None):
+    if getattr(ns, "grid", None) is not None:
         kwargs["grid_k"], kwargs["grid_m"] = ns.grid
     return dataclasses.replace(DEFAULT_SETTINGS, **kwargs) if kwargs else DEFAULT_SETTINGS
 
@@ -314,7 +330,7 @@ def _run(ns: argparse.Namespace) -> int:
         from . import oracle as _oracle
 
         if ns.oracle_check == "ratio":
-            rep = _oracle.verify_ampliation_ratio(ns.m, n_max=ns.n, tolerance=ns.tol or 1e-3)
+            rep = _oracle.verify_ampliation_ratio(ns.m, n_max=ns.n, tolerance=1e-3 if ns.tol is None else ns.tol)
         elif ns.oracle_check == "divergence":
             rep = _oracle.verify_power_gap_divergence(ns.m, n_max=ns.n, threshold=ns.threshold)
         elif ns.oracle_check == "split":

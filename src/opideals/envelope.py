@@ -1,12 +1,14 @@
 """Certified witness constants: proven bounds on sup a_n/b_n, with no sampling.
 
-Every node e of infinite support has the growth class (b, r, p, q) of
-``growth.profile``, whose representative is
+Every node e of infinite support has a growth class of ``growth.profile``,
+with the log rate l = sum of e * log r <= 0 over its (ratio, exponent) pairs
+(r, e), power p and log exponent q, whose representative is
 
-    phi(n) = b^(n/r) * n^(-p) * log(n+1)^(-q)        (n >= 1),
+    phi(n) = exp(n l) * n^(-p) * log(n+1)^(-q)        (n >= 1),
 
 and a log envelope [lo, hi] with lo <= log e_n - log phi(n) <= hi for every
-n >= 1.  Write l = log(b)/r <= 0 for the log rate.  ``envelope`` fills the
+n >= 1.  Bounds on l and on gaps between log rates come from
+``growth.log_rate_gap``, on the log scale.  ``envelope`` fills the
 node's ``_envelope`` slot (not a dataclass field, like ``_profile``) in one
 post-order walk with an explicit stack, one rule per node type:
 
@@ -14,7 +16,7 @@ post-order walk with an explicit stack, one rule per node type:
 * scale by c: both ends move by log c;
 * product: phi is the product of the children's representatives, so the
   envelopes add;
-* ampliation by m (class (b, rm, p, q)): with j = ceil(n/m),
+* ampliation by m (log rate l/m): with j = ceil(n/m),
   log phi(j) - log phi'(n) = (j - n/m) l + p log(n/j)
   + q (log log(n+1) - log log(j+1)), where j - n/m lies in [0, 1 - 1/m],
   n/j in [1, m] and the last difference in [0, D_m] by the lemma below; so
@@ -42,10 +44,11 @@ x y'(x) = -l x + p + q u(x), where u(x) = x/((x+1) log(x+1)) decreases
 q >= 0 every term is non-negative, so phi is non-increasing; for q < 0 the
 sum increases with x, so y' changes sign at most once, from - to +, and y
 peaks at an end.  (Every representative is in fact non-increasing on the
-integers when its atoms are: the rate factor is, and the power-log factor is
-a product of the atoms' power-log factors.  But ``pow(p, q)`` with q < 0 is
-admitted by a float check with a relative slack of 1e-12, so an atom can rise
-by about that much; taking the smaller end needs no such assumption.)
+integers, since its atoms are: the rate factor is, the power-log factor is a
+product of the atoms' power-log factors, and ``pow(p, q)`` with q < 0 is
+admitted only when it is non-increasing, by the exact test of
+``sequences._decreasing_head``.  Taking the smaller end needs no such
+argument.)
 
 A Yes constant for a = O(b) is ``constant_factor * exp(hi_a - lo_b +
 S(class_a, class_b))``.  A finitely supported a is instead compared piece by
@@ -65,10 +68,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .growth import GrowthClass, _children, _float_log, _mk, _ratio_bracket, profile
+from .growth import GrowthClass, _children, log_rate_gap, profile
 from .sequences import (
     Ampliate,
     Decimate,
@@ -100,27 +102,10 @@ def _out(lo: float, hi: float, scale: float) -> tuple[float, float]:
 # the log rate of a class
 
 
-def _log_abs_log_rate(c: GrowthClass) -> tuple[float, float]:
-    """Bounds (lo, hi) on log|l| for the log rate l = log(base)/root < 0 of c.
-
-    Kept on the log scale so that huge roots and bases within 2^-1000 of one
-    neither overflow nor underflow.
-    """
-    v, rel = _float_log(c.base)
-    lr = math.log(c.root)
-    if rel < 0.5:
-        mag = math.log(-v)
-        lo, hi = mag + math.log1p(-rel) - lr, mag + math.log1p(rel) - lr
-        return _out(lo, hi, abs(mag) + lr)
-    # base = 1 - t with t < 2^-1000: t <= -log(base) <= t/(1 - t) <= 2t
-    t = 1 - c.base
-    ln, ld = math.log(t.numerator), math.log(t.denominator)
-    return _out(ln - ld - lr, ln - ld + LN2 - lr, ln + ld + lr)
-
-
 def _log_rate_lo(c: GrowthClass, log_n: float) -> float:
     """A lower bound on n*l, the rate part of log phi(n), given log n."""
-    return 0.0 if c.base == 1 else -math.exp(log_n + _log_abs_log_rate(c)[1])
+    gap = log_rate_gap(c)
+    return 0.0 if gap is None else -math.exp(log_n + gap[1] + SLACK * (1.0 + abs(gap[1])))
 
 
 def _log_phi_lo(c: GrowthClass, n: int) -> float:
@@ -129,35 +114,6 @@ def _log_phi_lo(c: GrowthClass, n: int) -> float:
     rate = _log_rate_lo(c, y)
     p, q = float(c.power), float(c.logpower)
     return rate - p * y - q * ll - SLACK * (1.0 + abs(rate) + abs(p * y) + abs(q * ll))
-
-
-def _log_rate_gap(a: GrowthClass, d: GrowthClass) -> float | None:
-    """log of a lower bound on l_d - l_a > 0, or None when the rates tie.
-
-    Needs rate(a) <= rate(d).  When both rates are below one, l_d = t * l_a
-    with t in the bracket of ``growth._ratio_bracket``, below one, so
-    l_d - l_a = |l_a| (1 - t) >= |l_a| (1 - t_hi).
-    """
-    if a.base == 1:
-        if d.base != 1:
-            raise ValueError("a rate-one class is not dominated by a rate below one")
-        return None
-    lam = _log_abs_log_rate(a)[0]
-    if d.base == 1:
-        return lam
-    bracket = _ratio_bracket(a, d)
-    if bracket is None:
-        return None
-    t_lo, t_hi = bracket
-    if t_lo > 1:
-        raise ValueError("the left class decays more slowly than the right one")
-    if isinstance(t_hi, Decimal):
-        with localcontext() as ctx:
-            ctx.prec = 40
-            gap = float((1 - t_hi).ln())
-    else:
-        gap = math.log(1.0 - t_hi)
-    return lam + gap - SLACK * (1.0 + abs(gap) + abs(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +126,10 @@ def class_log_sup(a: GrowthClass, d: GrowthClass) -> float:
     Raises ValueError when class a is not O(class d), where the sup is infinite.
     """
     P, Q = a.power - d.power, a.logpower - d.logpower
-    lam = _log_rate_gap(a, d)
-    if lam is None and (P < 0 or (P == 0 and Q < 0)):
+    gap = log_rate_gap(a, d)
+    if gap is None and (P < 0 or (P == 0 and Q < 0)):
         raise ValueError("the left class is not dominated by the right one")
+    lam = None if gap is None else gap[0] - SLACK * (1.0 + abs(gap[0]))
     return _log_sup(lam, float(P), float(Q))
 
 
@@ -426,46 +383,21 @@ def log_sup_ratio(a: SeqExpr, b: SeqExpr) -> float:
     """An upper bound on log sup over n >= 1 of a_n / b_n (0/0 counts as 0).
 
     Needs a = O(b): a finite support within that of b, or b of infinite
-    support and class a = O(class b).  A right side b = c * t whose factor c
-    shares a's base (as D_k a does in a softness witness) is bounded without
-    the class of the product, whose exact base can be a huge power:
-    phi_a/phi_c is then itself a class (``_quotient``), compared with t's.
+    support and class a = O(class b).
     """
-    pa = profile(a)
+    pa, pb = profile(a), profile(b)
     if pa.is_zero:
         return -math.inf
     if pa.support is not None:
         return _piece_log_sup(a, b, pa.support)
-    q = None
-    if isinstance(b, Product):
-        pc, pt = profile(b.left), profile(b.right)
-        if pc.support is None and pt.support is None:
-            q = _quotient(pa.growth, pc.growth)
-    if q is not None:
-        lo_b = envelope(b.left)[0] + envelope(b.right)[0]
-        s = class_log_sup(q, pt.growth)
-    else:
-        if profile(b).support is not None:
-            raise ValueError("an infinite support is not bounded by a finite one")
-        lo_b, s = envelope(b)[0], class_log_sup(pa.growth, profile(b).growth)
-    hi_a = envelope(a)[1]
+    if pb.support is not None:
+        raise ValueError("an infinite support is not bounded by a finite one")
+    hi_a, lo_b, s = envelope(a)[1], envelope(b)[0], class_log_sup(pa.growth, pb.growth)
     return hi_a - lo_b + s + SLACK * (1.0 + abs(hi_a) + abs(lo_b) + abs(s))
 
 
-def _quotient(a: GrowthClass, c: GrowthClass) -> GrowthClass | None:
-    """The class of phi_a/phi_c when c has a's base and k times its root, else None.
-
-    Its log rate is l_a (1 - 1/k) = log(base^(k-1)) / (k root), and its
-    power and log exponents are the differences (either may be negative).
-    """
-    if a.base != c.base or c.root % a.root:
-        return None
-    k = c.root // a.root
-    return _mk(a.base ** (k - 1), c.root, a.power - c.power, a.logpower - c.logpower)
-
-
 def constant_from_log(x: float) -> Fraction:
-    """A rational at least exp(x): a multiple of 2^-24, or a power of two above e^700.
+    """A positive rational at least exp(x): a multiple of 2^-24, or a power of two above e^700.
 
     Raises OverflowError when that power of two would need more than
     ``MAX_CONSTANT_BITS`` bits.
@@ -474,7 +406,7 @@ def constant_from_log(x: float) -> Fraction:
         return Fraction(1)
     if x <= 700:
         v = math.exp(x) * (1 + 2.0**-40)
-        return Fraction(math.ceil(v * (1 << 24)), 1 << 24) if v < 2**40 else Fraction(math.ceil(v))
+        return Fraction(max(1, math.ceil(v * (1 << 24))), 1 << 24) if v < 2**40 else Fraction(math.ceil(v))
     bits = x / LN2 * (1 + 2.0**-40) + 1
     if not bits <= MAX_CONSTANT_BITS:
         raise OverflowError(f"the witness constant exceeds 2^{MAX_CONSTANT_BITS}")

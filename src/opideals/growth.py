@@ -1,14 +1,23 @@
 """Asymptotic normal forms for sequence expressions.
 
 Every expression in the grammar is either eventually zero or is, up to
-bounded constants, of the shape
+bounded constants, rate^n * n^(-power) * log(n)^(-logpower), where log rate
+is the sum of e * log r over pairs of a geometric ratio r the expression
+writes and a positive rational exponent e.  Ampliation, decimation and
+product scale or add exponents, so no power of a rate is ever formed.  The
+classes are totally ordered under eventual domination (rates first, then
+power, then log exponents), which decides big-O and little-o questions
+across the grammar without touching a single limit numerically.
 
-    base^(n/root) * n^(-power) * log(n)^(-logpower)
-
-with a rational base in (0, 1].  These classes are totally ordered under
-eventual domination (compare rates first, then power, then log exponents),
-which is what makes big-O and little-o questions decidable across the whole
-grammar without touching a single limit numerically.
+Rates are compared through linear forms in the logs of the ratios,
+bracketed in floats and then in ``decimal`` at doubling precision.  Only a
+bracket that cannot leave out zero asks whether the form vanishes: over a
+coprime base of the numerators and denominators (Bernstein, Factoring into
+coprimes in essentially linear time, J. Algorithms 54, 2005) the logs are
+linearly independent over Q, so it vanishes exactly when its vector over
+that base does.  A nonzero form is bracketed away from zero at some
+precision (Baker-Wustholz, J. reine angew. Math. 442, 1993), so every loop
+here ends.
 """
 
 from __future__ import annotations
@@ -17,7 +26,8 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd
 
 from .sequences import (
     Ampliate,
@@ -33,24 +43,28 @@ from .sequences import (
 )
 
 ONE = Fraction(1)
+ZERO = Fraction(0)
+
+Rate = tuple[tuple[Fraction, Fraction], ...]
 
 
 @dataclass(frozen=True)
 class GrowthClass:
-    base: Fraction  # rate = base^(1/root), base in (0, 1]
-    root: int
+    """The class rate^n n^-power log(n+1)^-logpower of a sequence of infinite support.
+
+    ``rate`` holds one (ratio, exponent) pair per written geometric ratio,
+    sorted by ratio, with a positive rational exponent; ``()`` is rate one.
+    Equal tuples are equal rates, but two spellings of one rate, such as
+    ((1/4, 1),) and ((1/2, 2),), tie too: ``rate_cmp`` decides.
+    """
+
+    rate: Rate
     power: Fraction
     logpower: Fraction
 
     @property
     def rate_is_one(self) -> bool:
-        return self.base == 1
-
-
-def _mk(base: Fraction, root: int, power: Fraction, logpower: Fraction) -> GrowthClass:
-    if base == 1:
-        return GrowthClass(ONE, 1, power, logpower)
-    return GrowthClass(base, root, power, logpower)
+        return not self.rate
 
 
 @dataclass(frozen=True)
@@ -61,50 +75,40 @@ class Profile:
     growth: GrowthClass | None  # None exactly when support is finite
 
     @property
-    def is_finite(self) -> bool:
-        return self.support is not None
-
-    @property
     def is_zero(self) -> bool:
         return self.support == 0
 
 
 def rate_cmp(a: GrowthClass, b: GrowthClass) -> int:
-    """Compare decay rates base^(1/root) exactly, without powers of the bases.
-
-    Equal roots compare their bases.  Otherwise the ratio of the log rates is
-    bracketed (``_ratio_bracket``), so the cost does not grow with the roots,
-    that is with ampliation and decimation orders.
-    """
-    if a.base == 1 and b.base == 1:
+    """Compare the rates of a and b exactly: the sign of log rate(a) - log rate(b)."""
+    if a.rate == b.rate:
         return 0
-    if a.root == b.root or a.base == 1 or b.base == 1:
-        return (a.base > b.base) - (a.base < b.base)
-    bracket = _ratio_bracket(a, b)
-    if bracket is None:
-        return 0
-    return 1 if bracket[0] > 1 else -1
+    if not a.rate or not b.rate:  # every exponent is positive, so a nonempty rate is below one
+        return 1 if not a.rate else -1
+    bracket = _gap(a.rate, b.rate)
+    return 0 if bracket is None else 1 if bracket[0] > 0 else -1
 
 
-def _ratio_bracket(a: GrowthClass, b: GrowthClass):
-    """Bounds (lo, hi) on t = log rate(b) / log rate(a) that exclude 1, or None on a tie.
+def _gap(x: Rate, y: Rate, tight: bool = False):
+    """Bounds (lo, hi) on log rate(x) - log rate(y) that leave out 0, or None on a tie.
 
-    Both rates lie below one, so t > 0, and t > 1 exactly when rate(a) >
-    rate(b).  The bracket of ``_order_bracket`` is taken in floats and then
-    in ever more decimal digits until it leaves 1 out, or holds 1 and the
-    rates tie exactly (``_rates_tie`` at order 1).  Unequal rates make t != 1,
-    so the loop ends.
+    With ``tight``, a positive bracket is also refined to a relative 2^-30.
     """
-    prec = 0
+    if x == y:
+        return None
+    prec, tie_checked = 0, False
     while True:
-        bracket = _order_bracket(a, b, prec)
+        bracket = _bracket(x, y, prec)
         prec = 2 * prec if prec else 40
         if bracket is None:
             continue
-        if bracket[0] > 1 or bracket[1] < 1:
+        lo, hi = bracket
+        if hi < 0 or (lo > 0 and (not tight or hi - lo <= lo / 2**30)):
             return bracket
-        if _rates_tie(a, b, 1):
-            return None
+        if lo <= 0 and not tie_checked:
+            if _vanishes(x, y, 1):
+                return None
+            tie_checked = True
 
 
 def class_big_o(a: GrowthClass, b: GrowthClass) -> bool:
@@ -127,35 +131,28 @@ def _power_log_dominated(a: GrowthClass, b: GrowthClass, strict: bool) -> bool:
 
 def amp_class(c: GrowthClass, m: int) -> GrowthClass:
     """Class of the m-fold ampliation: the rate takes an m-th root."""
-    if m == 1 or c.base == 1:
+    if m == 1 or not c.rate:
         return c
-    return _mk(c.base, c.root * m, c.power, c.logpower)
+    return GrowthClass(tuple((r, e / m) for r, e in c.rate), c.power, c.logpower)
 
 
 def dec_class(c: GrowthClass, k: int) -> GrowthClass:
-    if k == 1 or c.base == 1:
+    """Class of the k-fold decimation: the rate takes a k-th power."""
+    if k == 1 or not c.rate:
         return c
-    g = gcd(k, c.root)
-    return _mk(c.base ** (k // g), c.root // g, c.power, c.logpower)
+    return GrowthClass(tuple((r, e * k) for r, e in c.rate), c.power, c.logpower)
 
 
 def mul_class(a: GrowthClass, b: GrowthClass) -> GrowthClass:
-    power = a.power + b.power
-    logpower = a.logpower + b.logpower
-    if a.base == 1 and b.base == 1:
-        return _mk(ONE, 1, power, logpower)
-    root = lcm(a.root, b.root)
-    base = (a.base ** (root // a.root)) * (b.base ** (root // b.root))
-    return _mk(base, root, power, logpower)
+    exps = dict(a.rate)
+    for r, e in b.rate:
+        exps[r] = exps.get(r, 0) + e
+    return GrowthClass(tuple(sorted(exps.items())), a.power + b.power, a.logpower + b.logpower)
 
 
-def dominant(a: GrowthClass, b: GrowthClass) -> GrowthClass:
-    """The class of a pointwise sum or max: whichever decays more slowly."""
-    if class_big_o(a, b):
-        return b
-    if class_big_o(b, a):
-        return a
-    raise AssertionError("growth classes are totally ordered")
+def rate_class(c: GrowthClass) -> GrowthClass:
+    """The class of c's rate alone: power and log exponents zero."""
+    return GrowthClass(c.rate, ZERO, ZERO)
 
 
 def profile(e: SeqExpr) -> Profile:
@@ -198,9 +195,9 @@ def _children(e: SeqExpr) -> tuple[SeqExpr, ...]:
 def _node_profile(e: SeqExpr, *kids: Profile) -> Profile:
     """The profile of one node, from its children's profiles."""
     if isinstance(e, PowerLog):
-        return Profile(None, _mk(ONE, 1, e.p, e.q))
+        return Profile(None, GrowthClass((), e.p, e.q))
     if isinstance(e, Geometric):
-        return Profile(None, _mk(e.ratio, 1, Fraction(0), Fraction(0)))
+        return Profile(None, GrowthClass(((e.ratio, ONE),), ZERO, ZERO))
     if isinstance(e, Finite):
         return Profile(len(e.values), None)
     if isinstance(e, Scale):
@@ -223,7 +220,8 @@ def _node_profile(e: SeqExpr, *kids: Profile) -> Profile:
             return pb
         if pb.support is not None:
             return pa
-        return Profile(None, dominant(pa.growth, pb.growth))
+        # the classes are totally ordered: the one that decays more slowly
+        return Profile(None, pb.growth if class_big_o(pa.growth, pb.growth) else pa.growth)
     if isinstance(e, Product):
         pa, pb = kids
         if pa.support is None and pb.support is None:
@@ -237,8 +235,8 @@ def min_ampliation_order(eta: Profile, gen: Profile, strict: bool) -> int | None
 
     Non-strict domination is O, strict is o.  Returns None when no finite
     ampliation order works.  Finite supports are handled exactly; infinite
-    classes reduce to exact rational rate comparisons, so the answer holds
-    for the denoted sequences themselves, not for a sampled window.
+    classes reduce to exact rate comparisons, so the answer holds for the
+    denoted sequences themselves, not for a sampled window.
     """
     if eta.is_zero:
         return 1
@@ -255,23 +253,24 @@ def min_ampliation_order(eta: Profile, gen: Profile, strict: bool) -> int | None
     if eta.support is not None:
         return 1  # finitely supported = o(any strictly positive class)
     a, g = eta.growth, gen.growth
-    if g.base == 1:
-        if a.base != 1:
+    if not g.rate:
+        if a.rate:
             return 1  # a genuinely geometric-type rate beats any power/log class
         ok = class_little_o(a, g) if strict else class_big_o(a, g)
         return 1 if ok else None
-    if a.base == 1:
+    if not a.rate:
         return None  # rate-one class never dominated by ampliated sub-one rates
-    # both rates below one: the least m with rate(a) <=/< rate(g)^(1/m), i.e.
-    # a.base^(g.root * m) <=/< g.base^(a.root).  Taking logs, the rates are
-    # strictly ordered on either side of t = a.root*log(g.base) / (g.root*log(a.base)),
-    # so the answer is the least integer above t, unless t is an integer at
-    # which the rates tie exactly and the power/log parts decide.  t is
-    # bracketed in floats first and in ever more decimal digits until the
-    # bracket holds no integer, or a single one at which the rates tie.
-    prec = 0
+    # both rates below one: the least m with m * l_a <=/< l_g for the log
+    # rates l < 0.  The rates are strictly ordered on either side of
+    # t = l_g / l_a, so the answer is the least integer above t, unless t is
+    # an integer k at which the rates tie exactly, and the power/log parts
+    # decide.  A tie at k means proportional vectors: k * v_a = v_g over a
+    # coprime base.  t is bracketed in floats first and in ever more decimal
+    # digits until the bracket holds no integer, or a single one at which
+    # the rates tie.
+    prec, checked = 0, None
     while True:
-        bracket = _order_bracket(a, g, prec)
+        bracket = _order_bracket(a.rate, g.rate, prec)
         prec = 2 * prec if prec else 40
         if bracket is None:
             continue
@@ -279,77 +278,130 @@ def min_ampliation_order(eta: Profile, gen: Profile, strict: bool) -> int | None
         k = max(1, math.ceil(lo))
         if k > hi:
             return math.floor(hi) + 1
-        if k + 1 > hi and _rates_tie(a, g, k):
-            return k if _power_log_dominated(a, g, strict) else k + 1
+        if k + 1 > hi and k != checked:
+            checked = k
+            if _vanishes(a.rate, g.rate, k):
+                return k if _power_log_dominated(a, g, strict) else k + 1
 
 
-def _order_bracket(a: GrowthClass, g: GrowthClass, prec: int):
-    """Bounds (lo, hi) on t = a.root*log(g.base) / (g.root*log(a.base)).
+def log_rate_gap(a: GrowthClass, d: GrowthClass | None = None) -> tuple[float, float] | None:
+    """Bounds (lo, hi) on log(l_d - l_a) for the log rates l of two classes, or None on a tie.
 
-    Computed in floats when ``prec`` is 0 and in ``decimal`` with ``prec``
-    digits otherwise; None when that precision cannot bound t.
+    ``d=None`` stands for rate one (l_d = 0), which makes these bounds on
+    log|l_a|.  On the log scale, huge orders and rates within 2^-1000 of one
+    neither overflow nor underflow.  Raises ValueError when rate(a) >
+    rate(d).
     """
+    bracket = _gap(d.rate if d is not None else (), a.rate, tight=True)
+    if bracket is None:
+        return None
+    lo, hi = bracket
+    if hi < 0:
+        raise ValueError("the left class decays more slowly than the right one")
+    if isinstance(lo, Decimal):
+        with localcontext() as ctx:
+            ctx.prec = 40
+            lo, hi = float(lo.ln()), float(hi.ln())
+    else:
+        lo, hi = math.log(lo), math.log(hi)
+    return lo - 2.0**-40 * (1 + abs(lo)), hi + 2.0**-40 * (1 + abs(hi))
+
+
+def _order_bracket(x: Rate, y: Rate, prec: int):
+    """Bounds (lo, hi) on t = log rate(y) / log rate(x) for rates below one, or None.
+
+    Both logs are sums of negative terms, so their brackets stay tight.
+    """
+    bx, by = _bracket(x, (), prec), _bracket(y, (), prec)
+    if bx is None or by is None or bx[1] >= 0 or by[1] >= 0:
+        return None
+    slack = Decimal(10) ** (2 - prec) if prec else 2.0**-50
+    with localcontext() as ctx:  # floats ignore it
+        ctx.prec = prec or ctx.prec
+        lo, hi = by[1] / bx[0] * (1 - slack), by[0] / bx[1] * (1 + slack)
+    return (lo, hi) if prec or math.isfinite(hi) else None
+
+
+def _bracket(x: Rate, y: Rate, prec: int):
+    """Bounds (lo, hi) on log rate(x) - log rate(y).
+
+    In floats when ``prec`` is 0 (None when a term leaves the normal float
+    range or a log cancels): each term is off by its log's relative error
+    plus a few roundings, and the sum by one rounding per term.  In
+    ``decimal`` with ``prec`` digits otherwise: ``ln`` is correctly rounded,
+    so the term of a pair (n/d, e) is within 2 e (log n + log d) units of
+    10^(1-prec), and each sum, as well as the final widening, adds half a
+    unit of the magnitude.
+    """
+    terms = [(r, 1, e) for r, e in x] + [(r, -1, e) for r, e in y]  # sum of j e log r
     if not prec:
+        s = err = 0.0
+        tiny = (len(terms) + 3) * 2.0**-52
         try:
-            (la, ra), (lg, rg) = _float_log(a.base), _float_log(g.base)
-            t = a.root * lg / (g.root * la)
-        except (OverflowError, ZeroDivisionError):
+            for r, j, e in terms:
+                v, rel = _float_log(r)
+                t = j * (e.numerator / e.denominator) * v
+                if not abs(t) >= 2.0**-1000:  # also a NaN from an infinite rel
+                    return None
+                s += t
+                err += abs(t) * (rel + tiny)
+        except OverflowError:
             return None
-        rel = 2 * (ra + rg) + 2.0**-48
-        if not (rel < 0.25 and math.isfinite(t)):
-            return None
-        return t - t * rel, t + t * rel
+        return (s - err, s + err) if math.isfinite(s + err) else None
     with localcontext() as ctx:
         ctx.prec = prec
-        (la, ra), (lg, rg) = _decimal_log(a.base, prec), _decimal_log(g.base, prec)
-        rel = 2 * (ra + rg) + Decimal(10) ** (3 - prec)
-        if not rel < Decimal("0.25"):
-            return None
-        t = a.root * lg / (g.root * la)
-        return t - t * rel, t + t * rel
+        s = w = Decimal(0)
+        for r, j, e in terms:
+            ln, ld = Decimal(r.numerator).ln(), Decimal(r.denominator).ln()
+            s += (ln - ld) * (j * e.numerator) / e.denominator
+            w += (ln + ld) * abs(j * e.numerator) / e.denominator
+        err = w * (len(terms) + 4) * Decimal(10) ** (1 - prec)
+        return s - err, s + err
 
 
-def _float_log(base: Fraction) -> tuple[float, float]:
-    """log(base) for 0 < base < 1, with a bound on its relative error.
+def _float_log(r: Fraction) -> tuple[float, float]:
+    """log(r) for 0 < r < 1, with a bound on its relative error.
 
     Near 1, ``log1p`` of the exact difference keeps full relative accuracy
     (log(num) - log(den) would cancel) until the difference leaves the normal
     float range; below 1/2 the difference of logs loses little.  The bounds
     allow 2^-48, far above the few ulp the library functions are off by.
     """
-    if base > Fraction(1, 2):
-        v = math.log1p(float(base - 1))
+    n, d = r.numerator, r.denominator
+    if 2 * n > d:
+        v = math.log1p((n - d) / d)  # correctly rounded, like float(r - 1)
         return v, (2.0**-48 if v < -(2.0**-1000) else math.inf)
-    ln, ld = math.log(base.numerator), math.log(base.denominator)
+    ln, ld = math.log(n), math.log(d)
     return ln - ld, (ln + ld) / (ld - ln) * 2.0**-48
 
 
-def _decimal_log(base: Fraction, prec: int) -> tuple[Decimal, Decimal]:
-    """log(base) for 0 < base < 1 in the current decimal context of ``prec``
-    digits, with a bound on its relative error (infinite when it cancels to 0).
+def _vanishes(x: Rate, y: Rate, k: int) -> bool:
+    """Whether k log rate(x) = log rate(y) exactly: the vector over a coprime base is zero."""
+    terms = [(r, k * e) for r, e in x] + [(r, -e) for r, e in y]
+    base = _coprime_base({n for r, _ in terms for n in (r.numerator, r.denominator) if n > 1})
+    vec = dict.fromkeys(base, 0)
+    for r, c in terms:
+        for n, sign in ((r.numerator, 1), (r.denominator, -1)):
+            for b in base:
+                while n % b == 0:
+                    n //= b
+                    vec[b] += sign * c
+    return not any(vec.values())
 
-    ``ln`` is correctly rounded, so each log and their difference are within
-    half a unit in the last digit.
+
+def _coprime_base(nums: set[int]) -> set[int]:
+    """Pairwise coprime integers above one, each of ``nums`` a product of their powers.
+
+    Naive gcd refinement, enough for a handful of integers: x, y with
+    g = gcd(x, y) > 1 become g, x/g and y/g, so the product of the set falls.
     """
-    ln, ld = Decimal(base.numerator).ln(), Decimal(base.denominator).ln()
-    v = ln - ld
-    if not v:
-        return v, Decimal("Infinity")
-    return v, (ln + ld) / -v * Decimal(10) ** (1 - prec)
-
-
-def _rates_tie(a: GrowthClass, g: GrowthClass, m: int) -> bool:
-    """Whether a.base^(g.root * m) == g.base^(a.root), without forming huge powers.
-
-    With x and y those exponents divided by their gcd, a tie makes a.base the
-    y-th and g.base the x-th power of one rational below 1, whose denominator
-    is at least 2.  So x and y stay below the bit lengths of the denominators,
-    and the reduced powers compared here are no longer than the product of
-    the two bases' sizes.
-    """
-    x, y = g.root * m, a.root
-    d = gcd(x, y)
-    x, y = x // d, y // d
-    if x >= g.base.denominator.bit_length() or y >= a.base.denominator.bit_length():
-        return False
-    return a.base**x == g.base**y
+    base = set(nums)
+    while True:
+        for x, y in combinations(base, 2):
+            g = gcd(x, y)
+            if g > 1:
+                base -= {x, y}
+                base |= {v for v in (g, x // g, y // g) if v > 1}
+                break
+        else:
+            return base

@@ -36,7 +36,7 @@ from .compare import (
     little_o,
     observed_constant,
 )
-from .growth import GrowthClass, Profile, amp_class, class_big_o, min_ampliation_order, mul_class, profile
+from .growth import Profile, amp_class, class_big_o, min_ampliation_order, mul_class, profile, rate_class
 from .sequences import (
     SeqExpr,
     ampliate,
@@ -219,7 +219,7 @@ def _member_order(eta: SeqExpr, red: IdealDesc) -> int | None:
     if isinstance(red, KH):
         return 1
     if isinstance(red, FH):
-        return 1 if p_eta.is_finite else None
+        return 1 if p_eta.support is not None else None
     return min_ampliation_order(p_eta, profile(red.generator), strict=isinstance(red, SoftInterior))
 
 
@@ -456,8 +456,8 @@ def is_soft(
     exactly when s = O(D_k s * t) for some such k and t.  A finitely
     supported s is soft in every J (k = 1, t the indicator of its support).
 
-    For s of infinite support with growth class (b, r, p, q), that is s_n
-    within constant factors of rho^n n^-p log(n+1)^-q with rho = b^(1/r),
+    For s of infinite support with growth class (rho, p, q), that is s_n
+    within constant factors of rho^n n^-p log(n+1)^-q,
     the symbolic path decides in closed form (compare the decimation
     criterion of Kaftal-Weiss, Soft ideals and arithmetic mean ideals, IEOT
     58, 2007):
@@ -468,7 +468,8 @@ def is_soft(
       null; but every ideal here lies in the compacts, whose sequences are.
     * rho < 1: soft with k = 2.  s_n / (D_2 s)_n is within constant factors
       of rho^(n/2), since the power and log factors at n and n/2 differ by
-      bounded factors: the quotient has class (b, 2r, 0, 0).  Any t in
+      bounded factors: the quotient has the class of rho alone, ampliated
+      by 2 (``amp_class(rate_class(c), 2)``).  Any t in
       Sigma(J) that dominates it is a witness:
       - J = K(H): t = D_2 s when s = O(D_2 s * D_2 s) on classes (the rates
         tie, so the power/log part decides), otherwise t = D_4 s (written
@@ -510,7 +511,7 @@ def is_soft(
             base = big_o(s_expr, seq_product(ampliate(s_expr, 2), _generator_witness(gen, 1, damped)),
                          settings=settings)
             return _soft_no(rate_one, base, "no structured witness dominates")
-        quotient = Profile(None, GrowthClass(c.base, 2 * c.root, Fraction(0), Fraction(0)))
+        quotient = Profile(None, amp_class(rate_class(c), 2))
         m = min_ampliation_order(quotient, profile(_generator_witness(gen, 1, damped)), strict=False)
         t = _generator_witness(gen, m, damped)
     constant = certified_constant(s_expr, seq_product(ampliate(s_expr, 2), t), settings)

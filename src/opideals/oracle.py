@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .compare import DEFAULT_SETTINGS, Settings, sample_indices
 from .ideals import (
     FH,
@@ -45,32 +43,21 @@ from .sequences import (
 class TruncatedOperator:
     """An N-dimensional stand-in for a compact operator.
 
-    Either a diagonal model (entries may be exact rationals or complex
-    floats) or a dense square array.  Singular values of the diagonal model
-    are exactly the sorted moduli of its entries.
+    A diagonal model: its entries may be exact rationals or complex floats,
+    and its singular values are exactly the sorted moduli of its entries.
     """
 
     dimension: int
-    diagonal: tuple | None = None
-    dense: tuple | None = None
+    diagonal: tuple
 
     def __post_init__(self):
-        if (self.diagonal is None) == (self.dense is None):
-            raise ValueError("provide exactly one of diagonal entries or a dense array")
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
-        if self.diagonal is not None:
-            if len(self.diagonal) != self.dimension:
-                raise ValueError("diagonal length must match the dimension")
-            for v in self.diagonal:
-                if not _finite_entry(v):
-                    raise ValueError(f"non-finite diagonal entry: {v!r}")
-        else:
-            arr = np.asarray(self.dense, dtype=complex)
-            if arr.shape != (self.dimension, self.dimension):
-                raise ValueError("dense model must be a square matrix of the stated dimension")
-            if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-                raise ValueError("non-finite entries in the dense model")
+        if len(self.diagonal) != self.dimension:
+            raise ValueError("diagonal length must match the dimension")
+        for v in self.diagonal:
+            if not _finite_entry(v):
+                raise ValueError(f"non-finite diagonal entry: {v!r}")
 
 
 def _finite_entry(v) -> bool:
@@ -88,12 +75,6 @@ def diagonal_operator(entries: Sequence) -> TruncatedOperator:
     return TruncatedOperator(dimension=len(entries), diagonal=entries)
 
 
-def dense_operator(matrix) -> TruncatedOperator:
-    arr = np.asarray(matrix, dtype=complex)
-    rows = tuple(tuple(row) for row in arr)
-    return TruncatedOperator(dimension=arr.shape[0], dense=rows)
-
-
 def truncate(e: SeqExpr, dimension: int) -> TruncatedOperator:
     """Diagonal truncation diag(e_1, ..., e_N) with exact entries."""
     stream = value_stream(e)
@@ -101,12 +82,8 @@ def truncate(e: SeqExpr, dimension: int) -> TruncatedOperator:
 
 
 def singular_values(op: TruncatedOperator) -> list:
-    """Non-increasing singular values; exact for diagonal models."""
-    if op.diagonal is not None:
-        mods = [abs(v) for v in op.diagonal]
-        return sorted(mods, reverse=True)
-    arr = np.asarray(op.dense, dtype=complex)
-    return [float(s) for s in np.linalg.svd(arr, compute_uv=False)]
+    """Non-increasing singular values, exact: the sorted moduli of the diagonal."""
+    return sorted((abs(v) for v in op.diagonal), reverse=True)
 
 
 @dataclass(frozen=True)
@@ -135,6 +112,11 @@ def _enforce_limit(report_name: str, observed, window, target, tolerance, detail
     return OracleReport(report_name, window, tuple(observed), target, tolerance, passed, detail)
 
 
+def _require_window(n_max: int) -> None:
+    if n_max < 1:  # a check over no indices would pass vacuously
+        raise ValueError(f"the window end n_max must be at least 1, got {n_max}")
+
+
 def verify_ampliation_ratio(
     m: int, n_max: int = 10**6, tolerance: float = 1e-3, samples: int = 96
 ) -> OracleReport:
@@ -144,6 +126,7 @@ def verify_ampliation_ratio(
     (j+1)/k approaches 1/m; the check asserts the tail sits within the
     tolerance of that limit.
     """
+    _require_window(n_max)
     if m < 1:
         raise ValueError("ampliation order must be positive")
     obs = []
@@ -165,6 +148,7 @@ def verify_power_gap_divergence(
     The ratio (j+1)^3 / k^2 with j = (k-1)//m grows like k/m^3, so the
     check asserts it exceeds the divergence threshold by the window end.
     """
+    _require_window(n_max)
     if m < 1:
         raise ValueError("ampliation order must be positive")
     obs = []
@@ -261,6 +245,7 @@ def verify_product_split(
     (base entry plus one step-ratio identity) and spot-checked on the
     sampled grid, which keeps million-bit integers out of the dense loop.
     """
+    _require_window(n_max)
     prod = reduce_ideal(IdealProduct(left, right))
     require_member(c_expr, prod, "the sequence must belong to the product ideal; verdict", settings=settings)
     rl, rr = reduce_ideal(left), reduce_ideal(right)
@@ -432,6 +417,7 @@ def verify_softness_witness(
     Samples a dense head plus a geometric grid across the window and
     requires the witnessed constant to dominate everywhere.
     """
+    _require_window(n_max)
     if not result.verdict.is_yes:
         raise PreconditionError("only Yes softness results carry a checkable witness")
     if result.t_witness is None:

@@ -153,13 +153,21 @@ class Product(SeqExpr):
     right: SeqExpr
 
 
+# a rational within 10^-29 below log 2 / log(log 3 / log 2) = 1.50500706643...
+_HEAD_LO = Fraction("1.50500706643243309175791113445")
+
+
 def _decreasing_head(p: Fraction, q: Fraction) -> bool:
-    # With q < 0 the log factor grows, so the head may increase.  Violations
-    # are confined to p*log(n+1) < -q, and -q/p > ~1.5 already fails at n=1,
-    # so the first 16 steps decide for every (p, q).
-    fp, fq = float(p), float(q)
-    vals = [math.exp(-fp * math.log(n) - fq * math.log(math.log(n + 1.0))) for n in range(1, 18)]
-    return all(vals[i + 1] <= vals[i] * (1 + 1e-12) for i in range(len(vals) - 1))
+    """Whether n^-p log(n+1)^-q with p > 0 > q is non-increasing on n >= 1.
+
+    Its log f(x) = -p log x - q log log(x+1) has x f'(x) = -p + |q| u(x)
+    with u(x) = x/((x+1) log(x+1)) decreasing, so f rises, then falls.  If
+    f(2) <= f(1), the peak lies before 2 (else f rises on all of [1, 2]), so
+    the atom is non-increasing; otherwise it rises at once.  f(2) <= f(1)
+    reads |q|/p <= log 2 / log(log 3 / log 2); a ratio between that constant
+    and the rational just below it is rejected too.
+    """
+    return -q / p <= _HEAD_LO
 
 
 # ---------------------------------------------------------------------------

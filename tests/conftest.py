@@ -7,6 +7,7 @@ enough that windowed numeric trends stay resolvable.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -46,6 +47,19 @@ def random_expr(rng: random.Random, depth: int = 2) -> op.SeqExpr:
     if kind == 4:
         return op.seq_product(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
     return op.scale(Fraction(rng.randrange(1, 5)), random_expr(rng, depth - 1))
+
+
+def rate_power_cmp(a, b, k: int = 1) -> int:
+    """The sign of rate(a)^k - rate(b) for two growth classes, by exact powers.
+
+    Both sides are raised to the least common denominator D of the
+    exponents, so that rate^D is the exact rational prod r^(e*D); affordable
+    on small orders only.
+    """
+    sides = [(r, k * e) for r, e in a.rate], list(b.rate)
+    d = math.lcm(*(e.denominator for side in sides for _, e in side))
+    lhs, rhs = (math.prod((r ** int(e * d) for r, e in side), start=Fraction(1)) for side in sides)
+    return (lhs > rhs) - (lhs < rhs)
 
 
 @pytest.fixture

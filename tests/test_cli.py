@@ -1,4 +1,5 @@
 import json
+import time
 
 from opideals.cli import main
 
@@ -153,3 +154,37 @@ def test_internal_error_ends_in_one_line_error(capsys, monkeypatch):
     assert code == 1
     assert "Traceback" not in out + err
     assert err == "error: internal error (ZeroDivisionError: division by zero)\n"
+
+
+def test_oracle_refuses_windows_without_indices(capsys):
+    for n in ("0", "-5", "x"):
+        for argv in (
+            ("oracle", "ratio", "2"),
+            ("oracle", "divergence", "1"),
+            ("oracle", "split", "geo(1/4)", "prin(geo(1/2))", "prin(geo(1/2))"),
+            ("oracle", "witness", "geo(1/2)", "KH"),
+        ):
+            code, out, err = run(capsys, *argv, "--n", n)
+            assert code == 1 and "passed" not in out, (argv, n)
+            assert "--n" in err
+    code, out, _ = run(capsys, "oracle", "ratio", "2", "--n", "1")
+    assert code == 0 and "window: 1..1" in out
+
+
+def test_tol_is_a_positive_finite_number(capsys):
+    for tol in ("0", "-1", "nan", "inf", "x"):
+        code, _, err = run(capsys, "member", "pow(1)", "prin(pow(2))", "--tol", tol)
+        assert code == 1 and "tol" in err, tol
+        code, _, _ = run(capsys, "oracle", "ratio", "2", "--tol", tol)
+        assert code == 1, tol
+    code, out, _ = run(capsys, "member", "pow(1)", "prin(pow(2))", "--tol", "1e-9", "--json")
+    assert code == 0 and json.loads(out)["settings"]["vanishing_threshold"] == 1e-9
+    code, out, _ = run(capsys, "oracle", "ratio", "2", "--n", "1000", "--tol", "0.25", "--json")
+    assert code == 0 and json.loads(out)["oracle"]["tolerance"] == 0.25
+
+
+def test_huge_decimation_order_answers_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "member", "dec(100000000,geo(1/3))", "prin(geo(1/2))")
+    assert time.perf_counter() - start < 0.1
+    assert code == 0 and "verdict: yes" in out and "m=1" in out

@@ -20,7 +20,7 @@ from opideals.compare import (
 from opideals.envelope import log_sup_ratio
 from opideals.growth import GrowthClass, profile, rate_cmp
 
-from conftest import random_atom, random_expr
+from conftest import random_atom, random_expr, rate_power_cmp
 
 
 def test_power_exponent_rule_direction():
@@ -297,10 +297,7 @@ def test_finite_piece_constants_are_exact(rng):
 
 def old_rate_cmp(a: GrowthClass, b: GrowthClass) -> int:
     """The exact cross-power comparison that ``rate_cmp`` replaced."""
-    if a.base == 1 and b.base == 1:
-        return 0
-    lhs, rhs = a.base**b.root, b.base**a.root
-    return (lhs > rhs) - (lhs < rhs)
+    return rate_power_cmp(a, b)
 
 
 def test_rate_cmp_matches_cross_powers_on_small_orders(rng):
@@ -315,7 +312,7 @@ def test_rate_cmp_matches_cross_powers_on_small_orders(rng):
     for _ in range(3000):
         a, b = rng.choice(classes), rng.choice(classes)
         assert rate_cmp(a, b) == old_rate_cmp(a, b), (a, b)
-        ties += rate_cmp(a, b) == 0 and a.base != 1
+        ties += rate_cmp(a, b) == 0 and bool(a.rate)
     assert ties >= 20
 
 
@@ -328,3 +325,33 @@ def test_rate_cmp_answers_huge_orders_at_once():
     tie = profile(op.ampliate(op.geometric(Fraction(1, 4)), 2 * 10**15)).growth
     assert rate_cmp(tie, profile(op.ampliate(half, 10**15)).growth) == 0
     assert time.perf_counter() - start < 0.1
+
+
+def test_huge_orders_profile_at_once():
+    start = time.perf_counter()
+    assert profile(op.parse_seq("dec(100000000,geo(1/3))")).growth.rate == ((Fraction(1, 3), Fraction(10**8)),)
+    prod = op.parse_seq("prod(amp(2,geo(999/1000)),amp(1000001,geo(1/2)))")
+    half = op.geometric(Fraction(1, 2))
+    assert profile(prod).support is None
+    assert big_o(prod, half).is_no and big_o(half, prod).is_yes
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        ("prod(geo(1/2),geo(1/3))", "geo(1/6)"),
+        ("prod(geo(1/2),geo(1/2))", "geo(1/4)"),
+        ("amp(2000000000000000,geo(1/4))", "amp(1000000000000000,geo(1/2))"),
+    ],
+)
+def test_rates_written_two_ways_tie(left, right):
+    a, b = op.parse_seq(left), op.parse_seq(right)
+    ca, cb = profile(a).growth, profile(b).growth
+    assert ca.rate != cb.rate and rate_cmp(ca, cb) == 0 and rate_cmp(cb, ca) == 0
+    assert big_o(a, b).is_yes and big_o(b, a).is_yes
+    both = op.seq_sum(a, b)
+    for x, y in ((both, a), (a, both), (both, b)):
+        v = big_o(x, y)
+        assert v.is_yes and v.witness.constant < 2**20, (left, right)
+        assert_certified(x, y)

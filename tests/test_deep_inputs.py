@@ -56,7 +56,7 @@ def test_ten_thousand_levels_answer_no_and_reduce():
     assert op.little_o(a, b).is_no
     assert op.support(a) is None and op.support(op.seq_product(b, op.finite([1, 1]))) == 2
     g = profile(a).growth
-    assert (g.base, g.power, g.logpower) == (1, 1, 0)
+    assert (g.rate, g.power, g.logpower) == ((), 1, 0)
     red = op.reduce_ideal(op.IdealSum(op.IdealProduct(op.Principal(b), op.KH()), op.Principal(a)))
     assert isinstance(red, op.Principal) and red.generator is a
     logs = op.eval_log_many(a, (1, 2, 1000))

@@ -19,9 +19,9 @@ INDICES = tuple(range(1, 2049)) + tuple(int(1.5**k) for k in range(19, 60))
 
 
 def log_phi(e, ns):
-    """log of the class representative base^(n/root) n^-p log(n+1)^-q at each n."""
+    """log of the class representative rate^n n^-p log(n+1)^-q at each n."""
     c = profile(e).growth
-    rate = (math.log(c.base.numerator) - math.log(c.base.denominator)) / c.root
+    rate = sum(float(x) * (math.log(r.numerator) - math.log(r.denominator)) for r, x in c.rate)
     p, q = float(c.power), float(c.logpower)
     return [n * rate - p * math.log(n) - q * math.log(math.log(n + 1)) for n in ns]
 
@@ -75,5 +75,9 @@ def test_constants_cover_their_bound_up_to_the_printable_limit():
         if x > 700:
             assert c.denominator == 1 and c.numerator & (c.numerator - 1) == 0  # a power of two
     assert constant_from_log(-math.inf) == 1
+    # exp underflows to 0 far below zero, and a witness constant of 0 bounds nothing
+    assert constant_from_log(-1e8) == Fraction(1, 2**24)
+    v = op.big_o(op.parse_seq("dec(1000,geo(1/3))"), op.geometric(Fraction(1, 2)))
+    assert v.is_yes and v.witness.constant > 0
     with pytest.raises(OverflowError):
         constant_from_log((MAX_CONSTANT_BITS + 1) * math.log(2))

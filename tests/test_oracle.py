@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +11,6 @@ import opideals as op
 from opideals.ideals import KH, PreconditionError, Principal, is_soft
 from opideals.oracle import (
     TruncatedOperator,
-    dense_operator,
     diagonal_operator,
     singular_values,
     truncate,
@@ -36,24 +39,9 @@ def test_singular_values_of_truncated_sequence_exact():
     assert singular_values(opr) == [Fraction(1, k) for k in range(1, n + 1)]
 
 
-def test_singular_values_dense_nilpotent():
-    sv = singular_values(dense_operator([[0, 1], [0, 0]]))
-    assert sv[0] == pytest.approx(1.0, abs=1e-10)
-    assert sv[1] == pytest.approx(0.0, abs=1e-10)
-
-
-def test_dense_svd_matches_diagonal():
-    entries = [0.9, 0.5, 0.1]
-    dense = [[entries[i] if i == j else 0.0 for j in range(3)] for i in range(3)]
-    sv = singular_values(dense_operator(dense))
-    assert sv == pytest.approx(entries, rel=1e-10)
-
-
 def test_operator_rejects_nonfinite():
     with pytest.raises(ValueError):
         diagonal_operator([1.0, math.inf])
-    with pytest.raises(ValueError):
-        dense_operator([[math.nan, 0], [0, 1]])
 
 
 def test_ampliation_semantics_exact():
@@ -139,8 +127,6 @@ def test_no_verdict_backed_by_divergence_oracle():
 
 def test_truncated_operator_validation():
     with pytest.raises(ValueError):
-        TruncatedOperator(dimension=2, diagonal=(1,), dense=((1, 0), (0, 1)))
-    with pytest.raises(ValueError):
         TruncatedOperator(dimension=2, diagonal=(1,))
     with pytest.raises(ValueError):
         TruncatedOperator(dimension=0, diagonal=())
@@ -166,3 +152,24 @@ def test_softness_witness_finite_rank_trivial():
     res = is_soft(fin, KH())
     rep = verify_softness_witness(fin, res, n_max=10**4)
     assert rep.passed
+
+
+def test_no_runtime_dependency_is_imported():
+    code = "import sys, opideals, opideals.oracle, opideals.cli; assert 'numpy' not in sys.modules"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_checks_over_no_indices_are_refused():
+    res = is_soft(G2, KH())
+    for n_max in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_ampliation_ratio(2, n_max=n_max)
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_power_gap_divergence(2, n_max=n_max)
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_product_split(op.power_log(2), Principal(P1), Principal(P1), n_max=n_max)
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_softness_witness(G2, res, n_max=n_max)
+    assert verify_ampliation_ratio(2, n_max=1).window == (1, 1)

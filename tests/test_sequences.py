@@ -1,11 +1,12 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 import opideals as op
 from opideals.compare import DEFAULT_SETTINGS, observed_constant, observed_supremum, rational_ceiling, sample_indices
-from opideals.sequences import DomainError, eval_log, eval_log_many, evaluate, head, support, value_stream
+from opideals.sequences import _HEAD_LO, DomainError, eval_log, eval_log_many, evaluate, head, support
 
 from conftest import random_expr
 
@@ -163,6 +164,21 @@ def test_log_numerator_head_check_matches_brute_force():
             ]
             monotone = all(vals[i + 1] <= vals[i] * (1 + 1e-9) for i in range(len(vals) - 1))
             assert accepted == monotone, (p, q)
+
+
+def test_log_numerator_head_check_is_exact():
+    # its log rises by about 1.7e-13 from n = 1 to n = 22,000; a float check with slack admitted it
+    with pytest.raises(DomainError):
+        op.power_log(Fraction(1, 10**14), Fraction(-1, 10**13))
+    assert op.power_log(2, -3).q == -3  # |q|/p = 1.5, just below the threshold
+    with pytest.raises(DomainError):
+        op.power_log(2, Fraction(-31, 10))  # |q|/p = 1.55, above it
+    vals = head(op.power_log(2, -3), 3000)
+    assert all(vals[i + 1] <= vals[i] for i in range(len(vals) - 1))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        c = Decimal(2).ln() / (Decimal(3).ln() / Decimal(2).ln()).ln()
+        assert 0 < c - Decimal(_HEAD_LO.numerator) / _HEAD_LO.denominator < Decimal(10) ** -29
 
 
 def _log_fraction(v: Fraction) -> float:
