@@ -9,8 +9,9 @@ with the log rate l = sum of e * log r <= 0 over its (ratio, exponent) pairs
 and a log envelope [lo, hi] with lo <= log e_n - log phi(n) <= hi for every
 n >= 1.  Bounds on l and on gaps between log rates come from
 ``growth.log_rate_gap``, on the log scale.  ``envelope`` fills the
-node's ``_envelope`` slot (not a dataclass field, like ``_profile``) in one
-post-order walk with an explicit stack, one rule per node type:
+node's ``_envelope`` slot (not a dataclass field, like ``_profile``) through
+``sequences.fold``, which folds the tree children first with an explicit
+stack, one rule per node type:
 
 * atoms: phi is the atom itself, so [0, 0];
 * scale by c: both ends move by log c;
@@ -70,7 +71,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from .growth import GrowthClass, _children, log_rate_gap, profile
+from .growth import GrowthClass, log_rate_gap, profile
 from .sequences import (
     Ampliate,
     Decimate,
@@ -84,6 +85,7 @@ from .sequences import (
     Sum,
     _log_fraction,
     eval_log_many,
+    fold,
 )
 
 SLACK = 2.0**-36
@@ -247,39 +249,34 @@ def _up(x: float, P: float, Q: float, y: float, lam: float | None) -> float:
 
 
 def envelope(e: SeqExpr) -> tuple[float, float]:
-    """The log envelope (lo, hi) of a node of infinite support (module docstring)."""
+    """The log envelope (lo, hi) of a node of infinite support (module docstring).
+
+    ``sequences.fold`` with the rule ``_node_envelope`` fills the
+    ``_envelope`` slot of every node below e, with None for the nodes of
+    finite support.
+    """
+    if profile(e).support is not None:
+        raise ValueError("only sequences of infinite support have an envelope")
     try:
         return e._envelope
     except AttributeError:
-        pass
-    if profile(e).support is not None:
-        raise ValueError("only sequences of infinite support have an envelope")
-    todo = [e]
-    while todo:
-        node = todo[-1]
-        kids = [k for k in _children(node) if k._profile.support is None]
-        missing = [k for k in kids if not hasattr(k, "_envelope")]
-        if missing:
-            todo += missing
-            continue
-        todo.pop()
-        if not hasattr(node, "_envelope"):  # a shared subtree may be pushed twice
-            object.__setattr__(node, "_envelope", _node_envelope(node))
-    return e._envelope
+        return fold(e, _node_envelope, "_envelope")
 
 
-def _node_envelope(e: SeqExpr) -> tuple[float, float]:
+def _node_envelope(e: SeqExpr, *kids: tuple[float, float] | None) -> tuple[float, float] | None:
+    if e._profile.support is not None:
+        return None
     if isinstance(e, (PowerLog, Geometric)):
         return 0.0, 0.0
     if isinstance(e, Scale):
-        lo, hi = e.inner._envelope
+        lo, hi = kids[0]
         lf = _log_fraction(e.factor)
         return _out(lo + lf, hi + lf, abs(lo) + abs(hi) + abs(lf))
     if isinstance(e, Product):
-        (la, ha), (lb, hb) = e.left._envelope, e.right._envelope
+        (la, ha), (lb, hb) = kids
         return _out(la + lb, ha + hb, abs(la) + abs(lb) + abs(ha) + abs(hb))
     if isinstance(e, (Ampliate, Decimate)):
-        lo, hi = e.inner._envelope
+        lo, hi = kids[0]
         c = e.inner._profile.growth
         p, q = float(c.power), float(c.logpower)
         if isinstance(e, Ampliate):
@@ -296,7 +293,7 @@ def _node_envelope(e: SeqExpr) -> tuple[float, float]:
     if isinstance(e, (Sum, Max)):
         node = e._profile.growth
         dom_lo, parts = -math.inf, []
-        for kid in (e.left, e.right):
+        for kid, env in zip((e.left, e.right), kids):
             kp = kid._profile
             if kp.support == 0:
                 continue
@@ -306,7 +303,7 @@ def _node_envelope(e: SeqExpr) -> tuple[float, float]:
                 floor = min(_log_phi_lo(node, 1), _log_phi_lo(node, kp.support))
                 parts.append(f1 - floor + SLACK * (1.0 + abs(f1) + abs(floor)))
                 continue
-            lo, hi = kid._envelope
+            lo, hi = env
             if kp.growth == node:
                 dom_lo = max(dom_lo, lo)
                 parts.append(hi)
@@ -327,35 +324,28 @@ def _node_envelope(e: SeqExpr) -> tuple[float, float]:
 def _piece_starts(e: SeqExpr) -> set[int]:
     """The indices in 1..support(e) at which a piece of e's finite parts starts.
 
-    A ``Finite`` starts a piece at every entry; ampliation by m maps a start
-    j to (j-1)m + 1, decimation by k maps it to ceil(j/k); scale keeps the
-    starts, and sum, max and product take the union.  Children of infinite
-    support add none (in a product they are non-increasing within a piece).
+    A fold (``_node_starts``) over e: a ``Finite`` starts a piece at every
+    entry; ampliation by m maps a start j to (j-1)m + 1, decimation by k
+    maps it to ceil(j/k); scale keeps the starts, and sum, max and product
+    take the union.  Children of infinite support add none (in a product
+    they are non-increasing within a piece).
     """
     size = profile(e).support
-    todo: list[tuple[SeqExpr, bool]] = [(e, False)]
-    done: list[set[int]] = []
-    while todo:
-        node, ready = todo.pop()
-        if node._profile.support is None:
-            done.append(set())
-        elif isinstance(node, Finite):
-            done.append(set(range(1, len(node.values) + 1)))
-        elif not ready:
-            kids = _children(node)
-            todo.append((node, True))
-            todo += [(k, False) for k in reversed(kids)]
-        elif isinstance(node, Ampliate):
-            m = node.order
-            done.append({(j - 1) * m + 1 for j in done.pop()})
-        elif isinstance(node, Decimate):
-            k = node.step
-            done.append({-(-j // k) for j in done.pop()})
-        elif isinstance(node, (Sum, Max, Product)):
-            right = done.pop()
-            done.append(done.pop() | right)
-        # Scale keeps its child's starts on the stack
-    return {j for j in done[0] | {1} if j <= size}
+    return {j for j in fold(e, _node_starts) | {1} if j <= size}
+
+
+def _node_starts(e: SeqExpr, *kids: frozenset[int]) -> frozenset[int]:
+    if e._profile.support is None:
+        return frozenset()
+    if isinstance(e, Finite):
+        return frozenset(range(1, len(e.values) + 1))
+    if isinstance(e, Ampliate):
+        m = e.order
+        return frozenset((j - 1) * m + 1 for j in kids[0])
+    if isinstance(e, Decimate):
+        k = e.step
+        return frozenset(-(-j // k) for j in kids[0])
+    return frozenset().union(*kids)  # scale, sum, max, product
 
 
 def _piece_log_sup(a: SeqExpr, b: SeqExpr, size: int) -> float:

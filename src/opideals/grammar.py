@@ -12,8 +12,8 @@ parsing a rendered expression reproduces it exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ideals import (
     FH,
@@ -56,13 +56,13 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
+# after optional blanks, one token; any other character is "bad"
 _TOKEN = re.compile(
-    r"\s*(?:(?P<number>-?\d+(?:\.\d+)?(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<punct>[(),]))"
+    r"\s*(?:(?P<number>-?\d+(?:\.\d+)?(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<punct>[(),])|(?P<bad>\S))"
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -70,18 +70,47 @@ class _Tok:
 
 def _tokenize(text: str) -> list[_Tok]:
     out = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if not m or m.end() == m.start():
-            if text[i:].strip():
-                raise ParseError(f"unexpected character {text[i]!r}", i)
-            break
-        for kind in ("number", "name", "punct"):
-            if m.group(kind) is not None:
-                out.append(_Tok(kind, m.group(kind), m.start(kind)))
-        i = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[m.start()]!r}", m.start())
+        out.append(_Tok(kind, m.group(kind), m.start(kind)))
     return out
+
+
+def _ideal_power(base: IdealDesc, exponent: tuple[Fraction, int]) -> IdealDesc:
+    n, pos = exponent
+    if n.denominator != 1 or n < 1:
+        raise ParseError("ideal powers need a positive integer exponent", pos)
+    return IdealPower(base, int(n))
+
+
+# grammar -> constructor name -> (argument kinds, constructor).  The kinds of
+# arguments are "sequence" and "ideal" nodes, and numbers: "num", "order" (a
+# positive integer, checked when read) and "exponent" (with its position, for
+# the constructor's check).  A pair (lo, hi) instead is a list of lo..hi numbers,
+# hi None meaning no bound; no kinds at all is a bare name.
+_CONSTRUCTORS = {
+    "sequence": {
+        "pow": ((1, 2), power_log),
+        "geo": ((1, 1), geometric),
+        "fin": ((1, None), lambda *values: finite(values)),
+        "scale": (("num", "sequence"), scale),
+        "amp": (("order", "sequence"), lambda m, e: ampliate(e, int(m))),
+        "dec": (("order", "sequence"), lambda k, e: decimate(e, int(k))),
+        "sum": (("sequence", "sequence"), seq_sum),
+        "max": (("sequence", "sequence"), seq_max),
+        "prod": (("sequence", "sequence"), seq_product),
+    },
+    "ideal": {
+        "KH": ((), KH),
+        "FH": ((), FH),
+        "prin": (("sequence",), Principal),
+        "prod": (("ideal", "ideal"), IdealProduct),
+        "sum": (("ideal", "ideal"), IdealSum),
+        "pow": (("ideal", "exponent"), _ideal_power),
+    },
+}
 
 
 class _Parser:
@@ -116,151 +145,131 @@ class _Parser:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad number {tok.text!r}", tok.pos) from exc
 
-    def args(self, parse_item, minimum: int, maximum: int | None, pos: int) -> list:
+    def numbers(self, minimum: int, maximum: int | None, pos: int) -> list[Fraction]:
         self.next("punct", "(")
-        items = [parse_item()]
+        items = [self.number()[0]]
         while self.peek() and self.peek().text == ",":
             self.next("punct", ",")
-            items.append(parse_item())
+            items.append(self.number()[0])
         self.next("punct", ")")
         if len(items) < minimum or (maximum is not None and len(items) > maximum):
             want = str(minimum) if maximum == minimum else f"{minimum}..{maximum or 'n'}"
             raise ParseError(f"wrong number of arguments (expected {want}, got {len(items)})", pos)
         return items
 
-    # -- sequences ---------------------------------------------------------
+    def argument(self, kind: str, name: str):
+        """A numeric argument of the kind "num", "order" or "exponent"."""
+        value, pos = self.number()
+        if kind == "order" and (value.denominator != 1 or value < 1):
+            raise ParseError(f"{name} needs a positive integer order", pos)
+        return (value, pos) if kind == "exponent" else value
 
-    def seq(self) -> SeqExpr:
-        tok = self.next("name")
-        name = tok.text
-        try:
-            if name == "pow":
-                nums = self.args(lambda: self.number()[0], 1, 2, tok.pos)
-                return power_log(*nums)
-            if name == "geo":
-                (r,) = self.args(lambda: self.number()[0], 1, 1, tok.pos)
-                return geometric(r)
-            if name == "fin":
-                vals = self.args(lambda: self.number()[0], 1, None, tok.pos)
-                return finite(vals)
-            if name == "scale":
-                self.next("punct", "(")
-                c, _ = self.number()
-                self.next("punct", ",")
-                inner = self.seq()
-                self.next("punct", ")")
-                return scale(c, inner)
-            if name in ("amp", "dec"):
-                self.next("punct", "(")
-                count, npos = self.number()
-                if count.denominator != 1 or count < 1:
-                    raise ParseError(f"{name} needs a positive integer order", npos)
-                self.next("punct", ",")
-                inner = self.seq()
-                self.next("punct", ")")
-                return ampliate(inner, int(count)) if name == "amp" else decimate(inner, int(count))
-            if name in ("sum", "max", "prod"):
-                self.next("punct", "(")
-                a = self.seq()
-                self.next("punct", ",")
-                b = self.seq()
-                self.next("punct", ")")
-                return {"sum": seq_sum, "max": seq_max, "prod": seq_product}[name](a, b)
-        except DomainError as exc:
-            raise ParseError(str(exc), tok.pos) from exc
-        raise ParseError(f"unknown sequence constructor {name!r}", tok.pos)
+    def parse(self, grammar: str):
+        """The whole text as one node of ``grammar`` ("sequence" or "ideal").
 
-    # -- ideals ------------------------------------------------------------
+        An explicit stack holds one frame per open constructor: its name
+        token, its argument kinds, its constructor and the arguments read so far.
+        """
+        frames: list[tuple[_Tok, tuple, object, list]] = []
+        while True:
+            tok = self.next("name")
+            try:
+                kinds, make = _CONSTRUCTORS[grammar][tok.text]
+            except KeyError:
+                raise ParseError(f"unknown {grammar} constructor {tok.text!r}", tok.pos) from None
+            if kinds and not isinstance(kinds[0], int):
+                self.next("punct", "(")
+                frames.append((tok, kinds, make, []))
+                value = None
+            else:  # a bare name or a list of numbers
+                value = _construct(tok, make, self.numbers(*kinds, tok.pos) if kinds else ())
+            # read arguments into the open frames until one is a nested node,
+            # whose grammar the next round reads
+            while frames:
+                top, kinds, make, args = frames[-1]
+                if value is not None:  # None: the frame has just opened
+                    args.append(value)
+                if len(args) == len(kinds):
+                    self.next("punct", ")")
+                    frames.pop()
+                    value = _construct(top, make, args)
+                    continue
+                if args:
+                    self.next("punct", ",")
+                grammar = kinds[len(args)]
+                if grammar in _CONSTRUCTORS:
+                    break
+                value = self.argument(grammar, top.text)
+            else:
+                self.done()
+                return value
 
-    def ideal(self) -> IdealDesc:
-        tok = self.next("name")
-        name = tok.text
-        try:
-            if name == "KH":
-                return KH()
-            if name == "FH":
-                return FH()
-            if name == "prin":
-                self.next("punct", "(")
-                inner = self.seq()
-                self.next("punct", ")")
-                return Principal(inner)
-            if name in ("prod", "sum"):
-                self.next("punct", "(")
-                a = self.ideal()
-                self.next("punct", ",")
-                b = self.ideal()
-                self.next("punct", ")")
-                return IdealProduct(a, b) if name == "prod" else IdealSum(a, b)
-            if name == "pow":
-                self.next("punct", "(")
-                base = self.ideal()
-                self.next("punct", ",")
-                n, npos = self.number()
-                self.next("punct", ")")
-                if n.denominator != 1 or n < 1:
-                    raise ParseError("ideal powers need a positive integer exponent", npos)
-                return IdealPower(base, int(n))
-        except DomainError as exc:
-            raise ParseError(str(exc), tok.pos) from exc
-        raise ParseError(f"unknown ideal constructor {name!r}", tok.pos)
+
+def _construct(tok: _Tok, make, args):
+    try:
+        return make(*args)
+    except DomainError as exc:
+        raise ParseError(str(exc), tok.pos) from exc
 
 
 def parse_seq(text: str) -> SeqExpr:
-    p = _Parser(text)
-    e = p.seq()
-    p.done()
-    return e
+    return _Parser(text).parse("sequence")
 
 
 def parse_ideal(text: str) -> IdealDesc:
-    p = _Parser(text)
-    d = p.ideal()
-    p.done()
-    return d
+    return _Parser(text).parse("ideal")
 
 
 def _num(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+# node type -> its text as strings and child nodes, left to right
+_PIECES = {
+    PowerLog: lambda x: (f"pow({_num(x.p)})" if x.q == 0 else f"pow({_num(x.p)},{_num(x.q)})",),
+    Geometric: lambda x: (f"geo({_num(x.ratio)})",),
+    Finite: lambda x: ("fin(" + ",".join(map(_num, x.values)) + ")" if x.values else "fin(0)",),
+    Scale: lambda x: (f"scale({_num(x.factor)},", x.inner, ")"),
+    Ampliate: lambda x: (f"amp({x.order},", x.inner, ")"),
+    Decimate: lambda x: (f"dec({x.step},", x.inner, ")"),
+    Sum: lambda x: ("sum(", x.left, ",", x.right, ")"),
+    Max: lambda x: ("max(", x.left, ",", x.right, ")"),
+    Product: lambda x: ("prod(", x.left, ",", x.right, ")"),
+    Principal: lambda x: ("prin(", x.generator, ")"),
+    KH: lambda x: ("KH",),
+    FH: lambda x: ("FH",),
+    ZeroIdeal: lambda x: ("prin(fin(0))",),
+    SoftInterior: lambda x: ("prod(prin(", x.generator, "),KH)"),
+    IdealProduct: lambda x: ("prod(", x.left, ",", x.right, ")"),
+    IdealSum: lambda x: ("sum(", x.left, ",", x.right, ")"),
+    IdealPower: lambda x: ("pow(", x.base, f",{x.exponent})"),
+}
+
+
+def _render(x) -> str:
+    """The canonical text of a sequence or an ideal, emitted from an explicit stack."""
+    out: list[str] = []
+    todo = [x]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        try:
+            pieces = _PIECES[type(item)](item)
+        except KeyError:
+            raise TypeError(f"not a sequence expression or an ideal description: {item!r}") from None
+        todo += reversed(pieces)
+    return "".join(out)
+
+
 def render_seq(e: SeqExpr) -> str:
-    if isinstance(e, PowerLog):
-        return f"pow({_num(e.p)})" if e.q == 0 else f"pow({_num(e.p)},{_num(e.q)})"
-    if isinstance(e, Geometric):
-        return f"geo({_num(e.ratio)})"
-    if isinstance(e, Finite):
-        return "fin(" + ",".join(_num(v) for v in e.values) + ")" if e.values else "fin(0)"
-    if isinstance(e, Scale):
-        return f"scale({_num(e.factor)},{render_seq(e.inner)})"
-    if isinstance(e, Ampliate):
-        return f"amp({e.order},{render_seq(e.inner)})"
-    if isinstance(e, Decimate):
-        return f"dec({e.step},{render_seq(e.inner)})"
-    if isinstance(e, Sum):
-        return f"sum({render_seq(e.left)},{render_seq(e.right)})"
-    if isinstance(e, Max):
-        return f"max({render_seq(e.left)},{render_seq(e.right)})"
-    if isinstance(e, Product):
-        return f"prod({render_seq(e.left)},{render_seq(e.right)})"
-    raise TypeError(f"not a sequence expression: {e!r}")
+    if not isinstance(e, SeqExpr):
+        raise TypeError(f"not a sequence expression: {e!r}")
+    return _render(e)
 
 
 def render_ideal(d: IdealDesc) -> str:
-    if isinstance(d, Principal):
-        return f"prin({render_seq(d.generator)})"
-    if isinstance(d, KH):
-        return "KH"
-    if isinstance(d, FH):
-        return "FH"
-    if isinstance(d, ZeroIdeal):
-        return "prin(fin(0))"
-    if isinstance(d, SoftInterior):
-        return f"prod(prin({render_seq(d.generator)}),KH)"
-    if isinstance(d, IdealProduct):
-        return f"prod({render_ideal(d.left)},{render_ideal(d.right)})"
-    if isinstance(d, IdealSum):
-        return f"sum({render_ideal(d.left)},{render_ideal(d.right)})"
-    if isinstance(d, IdealPower):
-        return f"pow({render_ideal(d.base)},{d.exponent})"
-    raise TypeError(f"not an ideal description: {d!r}")
+    if not isinstance(d, IdealDesc):
+        raise TypeError(f"not an ideal description: {d!r}")
+    return _render(d)

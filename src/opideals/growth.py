@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -40,6 +41,7 @@ from .sequences import (
     Scale,
     SeqExpr,
     Sum,
+    fold,
 )
 
 ONE = Fraction(1)
@@ -158,38 +160,17 @@ def rate_class(c: GrowthClass) -> GrowthClass:
 def profile(e: SeqExpr) -> Profile:
     """Support size and growth class of the sequence ``e`` denotes.
 
-    One post-order walk with an explicit stack fills the ``_profile`` slot of
-    each node that lacks one, so depth is bounded only by memory.  A global
-    cache keyed by the tree would rehash the whole subtree on every lookup
-    (frozen dataclasses do not cache their hash), compare it recursively on a
-    hit, and keep every tree it has seen alive; the memo on the node costs
-    none of that and dies with it.  Threads that fill one memo at once store
-    equal values.
+    ``sequences.fold`` with the rule ``_node_profile`` fills the
+    ``_profile`` slot of each node that lacks one, so depth is bounded only
+    by memory.  A global cache keyed by the tree would rehash the whole
+    subtree on every lookup (frozen dataclasses do not cache their hash),
+    compare it recursively on a hit, and keep every tree it has seen alive;
+    the memo on the node costs none of that and dies with it.
     """
     try:
         return e._profile
     except AttributeError:
-        pass
-    todo = [e]
-    while todo:
-        node = todo[-1]
-        kids = _children(node)
-        missing = [k for k in kids if not hasattr(k, "_profile")]
-        if missing:
-            todo += missing
-            continue
-        todo.pop()
-        if not hasattr(node, "_profile"):  # a shared subtree may be pushed twice
-            object.__setattr__(node, "_profile", _node_profile(node, *[k._profile for k in kids]))
-    return e._profile
-
-
-def _children(e: SeqExpr) -> tuple[SeqExpr, ...]:
-    if isinstance(e, (Scale, Ampliate, Decimate)):
-        return (e.inner,)
-    if isinstance(e, (Sum, Max, Product)):
-        return (e.left, e.right)
-    return ()
+        return fold(e, _node_profile, "_profile")
 
 
 def _node_profile(e: SeqExpr, *kids: Profile) -> Profile:
@@ -352,11 +333,23 @@ def _bracket(x: Rate, y: Rate, prec: int):
         ctx.prec = prec
         s = w = Decimal(0)
         for r, j, e in terms:
-            ln, ld = Decimal(r.numerator).ln(), Decimal(r.denominator).ln()
+            ln, ld = _decimal_ln(r.numerator, prec), _decimal_ln(r.denominator, prec)
             s += (ln - ld) * (j * e.numerator) / e.denominator
             w += (ln + ld) * abs(j * e.numerator) / e.denominator
         err = w * (len(terms) + 4) * Decimal(10) ** (1 - prec)
         return s - err, s + err
+
+
+@lru_cache(maxsize=256)
+def _decimal_ln(n: int, prec: int) -> Decimal:
+    """ln n, correctly rounded to ``prec`` digits.
+
+    Cached because every bracket step, and every question on the same rate,
+    asks again for the logs of the same integers at the same precisions.
+    """
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return Decimal(n).ln()
 
 
 def _float_log(r: Fraction) -> tuple[float, float]:

@@ -10,6 +10,7 @@ on the symbolic path alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,11 +30,13 @@ from .ideals import (
     reduce_ideal,
     require_member,
 )
+from . import sequences as sq
 from .sequences import (
     SeqExpr,
     ampliate,
     eval_log_many,
     evaluate,
+    head,
     seq_product,
     value_stream,
 )
@@ -77,8 +80,7 @@ def diagonal_operator(entries: Sequence) -> TruncatedOperator:
 
 def truncate(e: SeqExpr, dimension: int) -> TruncatedOperator:
     """Diagonal truncation diag(e_1, ..., e_N) with exact entries."""
-    stream = value_stream(e)
-    return diagonal_operator([next(stream) for _ in range(dimension)])
+    return diagonal_operator(head(e, dimension))
 
 
 def singular_values(op: TruncatedOperator) -> list:
@@ -184,8 +186,10 @@ def _frac_sqrt(v: Fraction) -> Fraction | None:
 
 def _exact_sqrt_expr(e: SeqExpr) -> SeqExpr | None:
     """An expression with exact rational values whose pointwise square is e."""
-    from . import sequences as sq
+    return sq.fold(e, _sqrt_rule)
 
+
+def _sqrt_rule(e: SeqExpr, *roots: SeqExpr | None) -> SeqExpr | None:
     if isinstance(e, sq.Geometric):
         r = _frac_sqrt(e.ratio)
         return sq.Geometric(r) if r is not None else None
@@ -194,36 +198,32 @@ def _exact_sqrt_expr(e: SeqExpr) -> SeqExpr | None:
             return sq.PowerLog(e.p / 2)
         return None
     if isinstance(e, sq.Finite):
-        roots = [_frac_sqrt(v) for v in e.values]
-        return sq.Finite(tuple(roots)) if all(r is not None for r in roots) else None
+        values = [_frac_sqrt(v) for v in e.values]
+        return sq.Finite(tuple(values)) if None not in values else None
+    if isinstance(e, (sq.Sum, sq.Max)) or None in roots:
+        return None
     if isinstance(e, sq.Scale):
         c = _frac_sqrt(e.factor)
-        inner = _exact_sqrt_expr(e.inner)
-        return sq.scale(c, inner) if c is not None and inner is not None else None
+        return sq.scale(c, roots[0]) if c is not None else None
     if isinstance(e, sq.Ampliate):
-        inner = _exact_sqrt_expr(e.inner)
-        return sq.ampliate(inner, e.order) if inner is not None else None
+        return sq.ampliate(roots[0], e.order)
     if isinstance(e, sq.Decimate):
-        inner = _exact_sqrt_expr(e.inner)
-        return sq.decimate(inner, e.step) if inner is not None else None
-    if isinstance(e, sq.Product):
-        a, b = _exact_sqrt_expr(e.left), _exact_sqrt_expr(e.right)
-        return seq_product(a, b) if a is not None and b is not None else None
-    return None
+        return sq.decimate(roots[0], e.step)
+    return seq_product(*roots)
 
 
 def _constant_ratio(e: SeqExpr) -> Fraction | None:
     """The step ratio e(n+1)/e(n) when it is the same rational at every n."""
-    from . import sequences as sq
+    return sq.fold(e, _ratio_rule)
 
+
+def _ratio_rule(e: SeqExpr, *ratios: Fraction | None) -> Fraction | None:
     if isinstance(e, sq.Geometric):
         return e.ratio
     if isinstance(e, sq.Scale):
-        return _constant_ratio(e.inner)
-    if isinstance(e, sq.Product):
-        ra, rb = _constant_ratio(e.left), _constant_ratio(e.right)
-        if ra is not None and rb is not None:
-            return ra * rb
+        return ratios[0]
+    if isinstance(e, sq.Product) and None not in ratios:
+        return ratios[0] * ratios[1]
     return None
 
 
@@ -293,12 +293,14 @@ def verify_product_split(
             g_expr = x_expr  # None means per-index approximate square roots
         else:
             g_expr = gen_l if driver == "left" else gen_r
-        c_stream = value_stream(c_expr)
-        g_stream = value_stream(g_expr) if g_expr is not None else None
+        beyond = [p for p in probe if p > dense_hi]
+
+        def values(e):  # the dense head streamed, then the probes beyond it
+            return itertools.chain(itertools.islice(value_stream(e), dense_hi), (evaluate(e, n) for n in beyond))
+
+        g_values = values(g_expr) if g_expr is not None else itertools.repeat(None)
         probe_set = set(probe)
-        for n in range(1, dense_hi + 1):
-            c_n = next(c_stream)
-            g_n = next(g_stream) if g_stream is not None else None
+        for n, c_n, g_n in zip([*range(1, dense_hi + 1), *beyond], values(c_expr), g_values):
             x_n, y_n, err, is_exact = _split_entry(c_n, g_n, driver)
             exact = exact and is_exact
             max_err = max(max_err, err)
@@ -306,15 +308,6 @@ def verify_product_split(
                 observed.append((n, err))
                 xs.append((n, float(x_n)))
                 ys.append((n, float(y_n)))
-        for n in (p for p in probe if p > dense_hi):
-            c_n = evaluate(c_expr, n)
-            g_n = evaluate(g_expr, n) if g_expr is not None else None
-            x_n, y_n, err, is_exact = _split_entry(c_n, g_n, driver)
-            exact = exact and is_exact
-            max_err = max(max_err, err)
-            observed.append((n, err))
-            xs.append((n, float(x_n)))
-            ys.append((n, float(y_n)))
         mode_note = (
             "dense exact scan" if dense_hi == n_max else f"dense scan to {dense_hi}, grid beyond"
         )
@@ -342,9 +335,7 @@ def _split_expressions(c_expr, gen_l, gen_r, driver):
         ratio = rc / rg
         first = evaluate(c_expr, 1) / evaluate(gen, 1)
         if 0 < ratio < 1 and first > 0:
-            from .sequences import geometric, scale
-
-            other = scale(first / ratio, geometric(ratio))
+            other = sq.scale(first / ratio, sq.geometric(ratio))
     if driver == "left":
         return gen, other
     return other, gen

@@ -10,20 +10,31 @@ under which the cone is closed.
 Evaluation is exact rational wherever the value is rational (integer power
 exponents, geometric atoms, finite sequences and their combinations) and
 IEEE binary64 where logarithms or fractional powers force it.
+
+Every pass over a tree goes through one of two walks with explicit stacks,
+so the depth of a tree is bounded only by memory.  ``fold`` computes a value
+per node from its children's values, children first, and memoises it: the
+growth profile, the log envelope, the pieces of finite parts and the
+oracle's closed forms are its rules.  ``_walk_indices`` evaluates:
+ampliation and decimation map an index list down the tree, and a log or an
+exact arithmetic combines the columns of values up; ``evaluate``,
+``eval_log_many``, ``value_stream`` and ``head`` take their values from it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, TypeVar, Union
 
 RationalLike = Union[int, float, str, Fraction]
 Value = Union[Fraction, float]
+T = TypeVar("T")
 
 
 class DomainError(ValueError):
@@ -218,19 +229,20 @@ def decimate(e: SeqExpr, k: int) -> SeqExpr:
     """k-step decimation n |-> e(k*n); inverts ampliation by the same order."""
     if k < 1:
         raise DomainError("decimation step must be a positive integer")
-    if k == 1:
-        return e
-    if isinstance(e, Decimate):
-        return decimate(e.inner, k * e.step)
-    if isinstance(e, Ampliate):
-        g = gcd(k, e.order)
-        k2, m2 = k // g, e.order // g
-        if k2 == 1:
-            return ampliate(e.inner, m2)
-        if m2 == 1:
-            return decimate(e.inner, k2)
-        return Decimate(k2, ampliate(e.inner, m2))
-    return Decimate(k, e)
+    while k > 1:
+        if isinstance(e, Decimate):
+            k, e = k * e.step, e.inner
+        elif isinstance(e, Ampliate):
+            g = gcd(k, e.order)
+            k2, m2 = k // g, e.order // g
+            if k2 == 1:
+                return ampliate(e.inner, m2)
+            if m2 > 1:
+                return Decimate(k2, ampliate(e.inner, m2))
+            k, e = k2, e.inner
+        else:
+            return Decimate(k, e)
+    return e
 
 
 def seq_sum(a: SeqExpr, b: SeqExpr) -> SeqExpr:
@@ -249,6 +261,49 @@ ZERO = Finite(())
 
 
 # ---------------------------------------------------------------------------
+# walking the tree
+
+# the grammar's one children table: node type -> its children, left to right
+_CHILDREN = {kind: lambda e: () for kind in (PowerLog, Geometric, Finite)}
+_CHILDREN |= {kind: lambda e: (e.inner,) for kind in (Scale, Ampliate, Decimate)}
+_CHILDREN |= {kind: lambda e: (e.left, e.right) for kind in (Sum, Max, Product)}
+
+
+def fold(e: SeqExpr, rule: Callable[..., T], slot: str | None = None) -> T:
+    """``rule(node, *values of its children)`` at e, computed children first.
+
+    One post-order walk with an explicit stack, so depth is bounded only by
+    memory.  With ``slot`` (``"_profile"`` or ``"_envelope"``) every node
+    keeps its value in that slot across calls, and a node that has one is
+    not entered again; otherwise the values live in a dict keyed by ``id``
+    for this call.  Either way a subtree shared by several parents is folded
+    once.  Threads that fill one slot at once store equal values.
+    """
+    memo: dict[int, T] = {}
+    value_of = (lambda n: memo[id(n)]) if slot is None else operator.attrgetter(slot)
+    todo: list[tuple[SeqExpr, tuple[SeqExpr, ...] | None]] = [(e, None)]
+    while todo:
+        node, kids = todo.pop()
+        if kids is not None:  # leaving: every child has its value
+            value = rule(node, *map(value_of, kids))
+            if slot is None:
+                memo[id(node)] = value
+            else:
+                object.__setattr__(node, slot, value)
+        elif (id(node) in memo) if slot is None else hasattr(node, slot):
+            continue  # folded already, or a shared subtree pushed twice
+        else:  # entering: the children come first
+            try:
+                kids = _CHILDREN[type(node)](node)
+            except KeyError:
+                raise TypeError(f"not a sequence expression: {node!r}") from None
+            todo.append((node, kids))
+            for k in reversed(kids):
+                todo.append((k, None))
+    return value_of(e)
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 
 
@@ -260,27 +315,7 @@ def evaluate(e: SeqExpr, n: int) -> Value:
     """
     if n < 1:
         raise ValueError(f"sequence indices start at 1, got {n}")
-    if isinstance(e, PowerLog):
-        if e.q == 0 and e.p.denominator == 1:
-            return Fraction(1, n ** e.p.numerator)
-        return math.exp(-float(e.p) * math.log(n) - float(e.q) * math.log(math.log(n + 1.0)))
-    if isinstance(e, Geometric):
-        return e.ratio**n
-    if isinstance(e, Finite):
-        return e.values[n - 1] if n <= len(e.values) else Fraction(0)
-    if isinstance(e, Scale):
-        return e.factor * evaluate(e.inner, n)
-    if isinstance(e, Ampliate):
-        return evaluate(e.inner, -(-n // e.order))
-    if isinstance(e, Decimate):
-        return evaluate(e.inner, e.step * n)
-    if isinstance(e, Sum):
-        return evaluate(e.left, n) + evaluate(e.right, n)
-    if isinstance(e, Max):
-        return max(evaluate(e.left, n), evaluate(e.right, n))
-    if isinstance(e, Product):
-        return evaluate(e.left, n) * evaluate(e.right, n)
-    raise TypeError(f"not a sequence expression: {e!r}")
+    return _walk_indices(e, (n,), _EXACT)[0]
 
 
 def _log_fraction(v: Fraction) -> float:
@@ -297,17 +332,68 @@ def eval_log(e: SeqExpr, n: int) -> float:
 def eval_log_many(e: SeqExpr, ns: Iterable[int]) -> list[float]:
     """Natural logs of the values at every index in ``ns`` (-inf for zero entries).
 
-    Walks each node once for the whole index list; ampliation and decimation
-    map the list once per node.  Every value is computed with the same float
-    operations, in the same order, as a walk for that index alone, so the
-    result does not depend on which other indices share the list.  Works in
-    log space throughout, so geometric atoms at huge indices never touch big
-    integers and never underflow.
+    Walks each node once for the whole index list (``_walk_indices``).
+    Every value is computed with the same float operations, in the same
+    order, as a walk for that index alone, so the result does not depend on
+    which other indices share the list.  Works in log space throughout, so
+    geometric atoms at huge indices never touch big integers and never
+    underflow.
     """
     ns = tuple(ns)
     if ns and min(ns) < 1:
         raise ValueError(f"sequence indices start at 1, got {min(ns)}")
-    return _log_many(e, ns)
+    return _walk_indices(e, ns, _LOGS)
+
+
+def _walk_indices(e: SeqExpr, ns: tuple[int, ...], rules: dict) -> list:
+    """The values of e at the indices ns, with an explicit stack.
+
+    Going down, ampliation and decimation map the index list (an ampliation
+    walks its child once per distinct index).  Coming up, ``rules``
+    (``_LOGS`` or ``_EXACT``) make a leaf's column of values from its
+    indices, scale a column, or combine two columns pointwise.  A shared
+    subtree is walked once per path, as each path may reach it with other
+    indices.
+    """
+    todo: list[tuple[SeqExpr, tuple[int, ...] | None]] = [(e, ns)]  # (node, None) combines
+    done: list[list] = []  # finished columns; an ampliation's slots lie under its child's column
+    while todo:
+        node, ns = todo.pop()
+        kind = type(node)
+        if ns is None:
+            if kind is Ampliate:
+                column = done.pop()
+                done.append([column[i] for i in done.pop()])
+            elif kind is Scale:
+                done.append(rules[Scale](node.factor, done.pop()))
+            else:
+                right = done.pop()
+                done.append(list(map(rules[kind], done.pop(), right)))
+        elif kind in _LEAVES:
+            done.append(rules[kind](node, ns))
+        elif kind in _BINARY:
+            todo += [(node, None), (node.right, ns), (node.left, ns)]
+        elif kind is Scale:
+            todo += [(node, None), (node.inner, ns)]
+        elif kind is Ampliate:
+            m = node.order
+            mapped = [-(-n // m) for n in ns]
+            distinct = tuple(dict.fromkeys(mapped))
+            if len(distinct) < len(mapped):
+                slot = {j: i for i, j in enumerate(distinct)}
+                done.append([slot[j] for j in mapped])
+                todo.append((node, None))
+            todo.append((node.inner, distinct))
+        elif kind is Decimate:
+            k = node.step
+            todo.append((node.inner, tuple([k * n for n in ns])))
+        else:
+            raise TypeError(f"not a sequence expression: {node!r}")
+    return done[0]
+
+
+_LEAVES = frozenset((PowerLog, Geometric, Finite))
+_BINARY = frozenset((Sum, Max, Product))
 
 
 @lru_cache(maxsize=4)
@@ -336,44 +422,72 @@ def _log_product(la: float, lb: float) -> float:
     return la + lb
 
 
-def _log_many(e: SeqExpr, ns: tuple[int, ...]) -> list[float]:
-    # post-order with an explicit stack, so depth is bounded only by memory;
-    # a (node, None) entry combines the node's children's finished columns
-    todo: list[tuple[SeqExpr, tuple[int, ...] | None]] = [(e, ns)]
-    done: list[list[float]] = []
-    while todo:
-        e, ns = todo.pop()
-        if ns is None:
-            if isinstance(e, Scale):
-                lf = _log_fraction(e.factor)
-                done.append([lf + x for x in done.pop()])
-                continue
-            right, left = done.pop(), done.pop()
-            combine = _log_sum if isinstance(e, Sum) else max if isinstance(e, Max) else _log_product
-            done.append(list(map(combine, left, right)))
-        elif isinstance(e, PowerLog):
-            fp, fq = -float(e.p), float(e.q)
-            logs, loglogs = _log_columns(ns)
-            done.append([fp * x - fq * y for x, y in zip(logs, loglogs)])
-        elif isinstance(e, Geometric):
-            lr = _log_fraction(e.ratio)
-            done.append([n * lr for n in ns])
-        elif isinstance(e, Finite):
-            vals, size = e.values, len(e.values)
-            done.append([_log_fraction(vals[n - 1]) if n <= size else -math.inf for n in ns])
-        elif isinstance(e, Scale):
-            todo += [(e, None), (e.inner, ns)]
-        elif isinstance(e, Ampliate):
-            m = e.order
-            todo.append((e.inner, tuple([-(-n // m) for n in ns])))
-        elif isinstance(e, Decimate):
-            k = e.step
-            todo.append((e.inner, tuple([k * n for n in ns])))
-        elif isinstance(e, (Sum, Max, Product)):
-            todo += [(e, None), (e.right, ns), (e.left, ns)]
-        else:
-            raise TypeError(f"not a sequence expression: {e!r}")
-    return done[0]
+def _log_power_log(e: PowerLog, ns: tuple[int, ...]) -> list[float]:
+    fp, fq = -float(e.p), float(e.q)
+    logs, loglogs = _log_columns(ns)
+    return [fp * x - fq * y for x, y in zip(logs, loglogs)]
+
+
+def _log_geometric(e: Geometric, ns: tuple[int, ...]) -> list[float]:
+    lr = _log_fraction(e.ratio)
+    return [n * lr for n in ns]
+
+
+def _log_finite(e: Finite, ns: tuple[int, ...]) -> list[float]:
+    vals, size = e.values, len(e.values)
+    return [_log_fraction(vals[n - 1]) if n <= size else -math.inf for n in ns]
+
+
+def _log_scaled(c: Fraction, column: list[float]) -> list[float]:
+    lc = _log_fraction(c)
+    return [lc + x for x in column]
+
+
+def _exact_power_log(e: PowerLog, ns: tuple[int, ...]) -> list[Value]:
+    if e.q or e.p.denominator != 1:
+        # the float operations of _log_power_log, without its cache of index lists
+        fp, fq = -float(e.p), float(e.q)
+        return [math.exp(fp * math.log(n) - fq * math.log(math.log(n + 1.0))) for n in ns]
+    k = e.p.numerator
+    return [Fraction(1, n**k) for n in ns]
+
+
+def _exact_geometric(e: Geometric, ns: tuple[int, ...], known: tuple[int, Fraction | None] = (0, None)) -> list:
+    """r^n at the indices ns; ``known`` is an earlier index m with r^m, to step from."""
+    r, step = e.ratio, ns[1] - ns[0] if len(ns) > 1 else 0
+    if step > 0 and ns == tuple(range(ns[0], ns[-1] + 1, step)):
+        # a run with one step, as in a dense scan: one multiplication per index
+        m, value = known
+        first = value * r ** (ns[0] - m) if m and ns[0] > m else r ** ns[0]
+        return list(itertools.accumulate(itertools.repeat(r**step, len(ns) - 1), operator.mul, initial=first))
+    return [r**n for n in ns]
+
+
+def _exact_finite(e: Finite, ns: tuple[int, ...]) -> list[Fraction]:
+    vals, size, zero = e.values, len(e.values), Fraction(0)
+    return [vals[n - 1] if n <= size else zero for n in ns]
+
+
+# node type -> rule: a leaf's makes its column from its indices, Scale's
+# scales its child's column, and a binary node's applies pointwise
+_LOGS = {
+    PowerLog: _log_power_log,
+    Geometric: _log_geometric,
+    Finite: _log_finite,
+    Scale: _log_scaled,
+    Sum: _log_sum,
+    Max: max,
+    Product: _log_product,
+}
+_EXACT = {
+    PowerLog: _exact_power_log,
+    Geometric: _exact_geometric,
+    Finite: _exact_finite,
+    Scale: lambda c, column: [c * v for v in column],
+    Sum: operator.add,
+    Max: max,
+    Product: operator.mul,
+}
 
 
 def support(e: SeqExpr) -> int | None:
@@ -383,47 +497,35 @@ def support(e: SeqExpr) -> int | None:
     return profile(e).support
 
 
-def is_zero(e: SeqExpr) -> bool:
-    return support(e) == 0
-
-
 def value_stream(e: SeqExpr) -> Iterator[Value]:
-    """Yield e(1), e(2), ... with amortized O(1) work per step.
-
-    Geometric atoms advance by one multiplication per index, which keeps
-    dense exact scans over large windows affordable.
-    """
-    if isinstance(e, PowerLog):
-        if e.q == 0 and e.p.denominator == 1:
-            k = e.p.numerator
-            return (Fraction(1, n**k) for n in itertools.count(1))
-        return (evaluate(e, n) for n in itertools.count(1))
-    if isinstance(e, Geometric):
-
-        def geo() -> Iterator[Value]:
-            v = e.ratio
-            while True:
-                yield v
-                v *= e.ratio
-
-        return geo()
-    if isinstance(e, Finite):
-        return itertools.chain(iter(e.values), itertools.repeat(Fraction(0)))
-    if isinstance(e, Scale):
-        return (e.factor * v for v in value_stream(e.inner))
-    if isinstance(e, Ampliate):
-        inner = value_stream(e.inner)
-        return itertools.chain.from_iterable(itertools.repeat(v, e.order) for v in inner)
-    if isinstance(e, Decimate):
-        return itertools.islice(value_stream(e.inner), e.step - 1, None, e.step)
-    if isinstance(e, Sum):
-        return (a + b for a, b in zip(value_stream(e.left), value_stream(e.right)))
-    if isinstance(e, Max):
-        return (max(a, b) for a, b in zip(value_stream(e.left), value_stream(e.right)))
-    if isinstance(e, Product):
-        return (a * b for a, b in zip(value_stream(e.left), value_stream(e.right)))
-    raise TypeError(f"not a sequence expression: {e!r}")
+    """Yield e(1), e(2), ... exactly, with amortized O(1) work per step and node."""
+    return itertools.chain.from_iterable(_columns(e))
 
 
 def head(e: SeqExpr, count: int) -> list[Value]:
-    return list(itertools.islice(value_stream(e), count))
+    return list(itertools.chain.from_iterable(_columns(e, count + 1)))
+
+
+def _columns(e: SeqExpr, stop: int | None = None) -> Iterator[list[Value]]:
+    """e's exact values at 1, 2, ... (up to ``stop``), one column per block of ``_BLOCK`` indices.
+
+    A geometric leaf goes on from the last value it gave, so a dense scan
+    costs it one multiplication per index.
+    """
+    last: dict[int, tuple[int, Fraction]] = {}  # id of a geometric leaf -> its last index and value
+
+    def geometric(leaf: Geometric, ns: tuple[int, ...]) -> list[Fraction]:
+        values = _exact_geometric(leaf, ns, last.get(id(leaf), (0, None)))
+        last[id(leaf)] = ns[-1], values[-1]
+        return values
+
+    rules, start = {**_EXACT, Geometric: geometric}, 1
+    while stop is None or start < stop:
+        end = start + _BLOCK if stop is None else min(start + _BLOCK, stop)
+        yield _walk_indices(e, tuple(range(start, end)), rules)
+        start = end
+
+
+# Blocks keep the columns of exact values that a dense walk holds at once
+# small enough to stay in cache.
+_BLOCK = 128

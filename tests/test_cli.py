@@ -1,7 +1,11 @@
 import json
+import random
 import time
 
+import opideals as op
 from opideals.cli import main
+
+from conftest import random_expr
 
 
 def run(capsys, *argv):
@@ -135,12 +139,20 @@ def test_soft_huge_finite_support_answers_at_once(capsys):
     assert "t_witness: amp(1000000000000,fin(1))" in out
 
 
-def test_deep_input_ends_in_one_line_error(capsys):
-    deep = "sum(" * 1300 + "pow(1)" + ",pow(2))" * 1300
-    code, out, err = run(capsys, "member", deep, "KH")
+def test_ten_thousand_level_member_answers(capsys):
+    deep = "sum(" * 10_000 + "pow(1)" + ",pow(2))" * 10_000
+    code, out, err = run(capsys, "member", deep, "prin(pow(2))")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "verdict: no"
+
+
+def test_deeply_nested_ideal_ends_in_one_line_error(capsys):
+    # reduce_ideal still recurses over ideal descriptions, so the safety net catches it
+    deep = "sum(" * 1300 + "KH" + ",FH)" * 1300
+    code, out, err = run(capsys, "member", "pow(1)", deep)
     assert code == 1
     assert "Traceback" not in out + err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: input too large or too deeply nested (RecursionError") and err.count("\n") == 1
 
 
 def test_internal_error_ends_in_one_line_error(capsys, monkeypatch):
@@ -188,3 +200,47 @@ def test_huge_decimation_order_answers_at_once(capsys):
     code, out, _ = run(capsys, "member", "dec(100000000,geo(1/3))", "prin(geo(1/2))")
     assert time.perf_counter() - start < 0.1
     assert code == 0 and "verdict: yes" in out and "m=1" in out
+
+
+def fuzz_texts(rng) -> list[str]:
+    """About 200 sequence texts: random, 10,000 levels deep, of huge orders, truncated and mutated."""
+    random_texts = [op.render_seq(random_expr(rng, depth=3)) for _ in range(60)]
+    levels = ["sum(geo(1/2),", "max(pow(2),", "scale(3/2,", "amp(2,", "dec(2,", "prod(pow(1/4),"]
+    deep = [
+        "sum(" * 10_000 + "pow(1)" + ",geo(1/2))" * 10_000,
+        "".join(rng.choice(levels) for _ in range(10_000)) + "pow(1)" + ")" * 10_000,
+    ]
+    huge = [f"amp(1000000000000000,{t})" for t in random_texts[:4]]
+    huge += [f"dec(100000000,{t})" for t in random_texts[4:8]]
+    huge += ["amp(1000000000000,fin(1))", "prod(amp(1000000000000,fin(1)),dec(100000000,geo(1/3)))"]
+    tokens = ["(", ")", ",", "pow", "geo", "fin", "amp", "dec", "sum", "prod", "KH", "0", "1", "1/2", "-1", "1/0", "x", "#"]
+    broken = [deep[0][: len(deep[0]) // 2]]
+    while len(broken) < 128:
+        text = rng.choice(random_texts + huge)
+        at = rng.randrange(len(text) + 1)
+        roll = rng.randrange(3)
+        if roll == 0:
+            broken.append(text[:at])
+        elif roll == 1:
+            broken.append(text[:at] + rng.choice(tokens) + text[at:])
+        else:
+            broken.append(text[:at] + rng.choice(tokens) + text[at + rng.randrange(1, 4):])
+    return random_texts + deep + huge + broken
+
+
+def test_seeded_fuzz_ends_in_a_verdict_or_one_error_line(capsys):
+    rng = random.Random(0xF022)
+    ideals = ["KH", "FH", "prin(geo(1/2))", "prin(pow(1))", "prod(prin(pow(1/2)),KH)"]
+    texts = fuzz_texts(rng)
+    assert len(texts) >= 200
+    for text in texts:
+        ideal = rng.choice(ideals)
+        for command in ("member", "soft", "classify"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, text, ideal)
+            spent = time.perf_counter() - start
+            what = f"{command} {text[:80]} {ideal}"
+            assert code in (0, 1, 2), what
+            assert "Traceback" not in out + err, what
+            assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), what
+            assert spent < 2.0, what

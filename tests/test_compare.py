@@ -337,6 +337,14 @@ def test_huge_orders_profile_at_once():
     assert time.perf_counter() - start < 0.1
 
 
+def test_softness_after_membership_reuses_the_decimal_logs_of_a_rate_near_one():
+    near_one, ideal = op.geometric(1 - Fraction(1, 10**400)), op.Principal(op.geometric(Fraction(1, 2)))
+    assert op.member(near_one, ideal).is_yes
+    start = time.perf_counter()
+    assert op.is_soft(near_one, ideal).verdict.is_yes
+    assert time.perf_counter() - start < 0.1
+
+
 @pytest.mark.parametrize(
     "left,right",
     [

@@ -1,8 +1,10 @@
 """Library questions on expression trees far deeper than the recursion limit.
 
-Profiles, supports, log evaluations and log envelopes walk the tree with
-explicit stacks, so an answer, a reduction and a support never recurse into
-the tree.
+Every pass over a sequence tree is ``sequences.fold`` or the index walk of
+the evaluators, both with explicit stacks: profiles, supports, log
+envelopes, exact and log values, streams, the oracle's truncations, parsing
+and rendering never recurse into the tree.  Only dataclass ``==``, ``hash``
+and ``repr`` still do, so these tests compare deep trees by their text.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import pytest
 
 import opideals as op
 from opideals.growth import profile
+from opideals.oracle import truncate
+from opideals.sequences import head
 
 SCALES = (Fraction(2), Fraction(1, 3), Fraction(3, 2))
 
@@ -93,3 +97,15 @@ def test_ten_thousand_levels_answer_yes_with_a_certified_constant():
     la, lb = op.eval_log_many(a, (1, 2, 1000, 10**6)), op.eval_log_many(b, (1, 2, 1000, 10**6))
     assert all(x - y <= log_c for x, y in zip(la, lb))
     assert op.member(a, op.Principal(b)).is_yes
+
+
+def test_ten_thousand_levels_parse_render_evaluate_and_stream():
+    e = chain(10, 10_000, (Fraction(1), Fraction(1, 2)))
+    text = op.render_seq(e)
+    assert op.render_seq(op.parse_seq(text)) == text
+    values = [op.evaluate(e, n) for n in (1, 2, 1000)]
+    logs = op.eval_log_many(e, (1, 2, 1000))
+    assert all(math.isclose(math.log(v), x, rel_tol=1e-9) for v, x in zip(values, logs))
+    first = head(e, 64)
+    assert first == [op.evaluate(e, n) for n in range(1, 65)]
+    assert list(truncate(e, 64).diagonal) == first
