@@ -197,10 +197,11 @@ def probe_chain_link(
     if inside.is_no:
         from .grammar import render_seq
 
+        # gen(J) is named, not rendered: the reduced generator of pow(J, n) has a text exponential in n's bits
         return Verdict.no(
             Certificate(
                 window=inside.certificate.window,
-                note=f"witness {render_seq(witness_seq)} lies in JS but not in J(S)J",
+                note=f"witness gen(J)*{render_seq(s_expr)} lies in JS but not in J(S)J",
                 samples=inside.certificate.samples,
             )
         )

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -391,7 +392,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return _run(ns)
+        code = _run(ns)
+        sys.stdout.flush()  # a closed reader shows here, inside the try
+        return code
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, so that the flush at
+        # exit is quiet too, and end without a word
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, DomainError, PreconditionError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -251,70 +251,93 @@ def _up(x: float, P: float, Q: float, y: float, lam: float | None) -> float:
 def envelope(e: SeqExpr) -> tuple[float, float]:
     """The log envelope (lo, hi) of a node of infinite support (module docstring).
 
-    ``sequences.fold`` with the rule ``_node_envelope`` fills the
-    ``_envelope`` slot of every node below e, with None for the nodes of
-    finite support.
+    ``sequences.fold`` with the rules ``_ENVELOPE`` fills the ``_envelope``
+    slot of every node below e, with None for the nodes of finite support.
     """
     if profile(e).support is not None:
         raise ValueError("only sequences of infinite support have an envelope")
     try:
         return e._envelope
     except AttributeError:
-        return fold(e, _node_envelope, "_envelope")
+        return fold(e, _ENVELOPE, "_envelope")
 
 
-def _node_envelope(e: SeqExpr, *kids: tuple[float, float] | None) -> tuple[float, float] | None:
+def _shift(env, add_lo: float, add_hi: float) -> tuple[float, float]:
+    lo, hi = env
+    return _out(lo + add_lo, hi + add_hi, abs(lo) + abs(hi) + abs(add_lo) + abs(add_hi))
+
+
+def _scale_envelope(e: Scale, env):
+    if env is None:
+        return None
+    (lo, hi), lf = env, _log_fraction(e.factor)
+    return _out(lo + lf, hi + lf, abs(lo) + abs(hi) + abs(lf))
+
+
+def _product_envelope(e: Product, a, b):
+    if a is None or b is None:
+        return None
+    (la, ha), (lb, hb) = a, b
+    return _out(la + lb, ha + hb, abs(la) + abs(lb) + abs(ha) + abs(hb))
+
+
+def _ampliate_envelope(e: Ampliate, env):
+    if env is None:
+        return None
+    c, m = e.inner._profile.growth, e.order
+    p, q, D = float(c.power), float(c.logpower), math.log(math.log(m + 1)) - LOG_LOG_2
+    rate = (1 - 1 / m) * _log_rate_lo(c, 0.0)
+    return _shift(env, rate + min(0.0, q * D), p * math.log(m) + max(0.0, q * D))
+
+
+def _decimate_envelope(e: Decimate, env):
+    if env is None:
+        return None
+    c, k = e.inner._profile.growth, e.step
+    p, q, E = float(c.power), float(c.logpower), math.log(math.log(k + 1)) - LOG_LOG_2
+    return _shift(env, -p * math.log(k) + min(0.0, -q * E), -p * math.log(k) + max(0.0, -q * E))
+
+
+def _join_envelope(e: Sum | Max, kids: tuple, summed: bool):
     if e._profile.support is not None:
         return None
-    if isinstance(e, (PowerLog, Geometric)):
-        return 0.0, 0.0
-    if isinstance(e, Scale):
-        lo, hi = kids[0]
-        lf = _log_fraction(e.factor)
-        return _out(lo + lf, hi + lf, abs(lo) + abs(hi) + abs(lf))
-    if isinstance(e, Product):
-        (la, ha), (lb, hb) = kids
-        return _out(la + lb, ha + hb, abs(la) + abs(lb) + abs(ha) + abs(hb))
-    if isinstance(e, (Ampliate, Decimate)):
-        lo, hi = kids[0]
-        c = e.inner._profile.growth
-        p, q = float(c.power), float(c.logpower)
-        if isinstance(e, Ampliate):
-            m = e.order
-            D = math.log(math.log(m + 1)) - LOG_LOG_2
-            rate = (1 - 1 / m) * _log_rate_lo(c, 0.0)
-            add_lo, add_hi = rate + min(0.0, q * D), p * math.log(m) + max(0.0, q * D)
+    node = e._profile.growth
+    dom_lo, parts = -math.inf, []
+    for kid, env in zip((e.left, e.right), kids):
+        kp = kid._profile
+        if kp.support == 0:
+            continue
+        if kp.support is not None:
+            # f_n <= f_1 on 1..s: at most f_1 / min(phi(1), phi(s)) times phi
+            f1 = eval_log_many(kid, (1,))[0]
+            floor = min(_log_phi_lo(node, 1), _log_phi_lo(node, kp.support))
+            parts.append(f1 - floor + SLACK * (1.0 + abs(f1) + abs(floor)))
+            continue
+        lo, hi = env
+        if kp.growth == node:
+            dom_lo = max(dom_lo, lo)
+            parts.append(hi)
         else:
-            k = e.step
-            E = math.log(math.log(k + 1)) - LOG_LOG_2
-            add_lo = add_hi = -p * math.log(k)
-            add_lo, add_hi = add_lo + min(0.0, -q * E), add_hi + max(0.0, -q * E)
-        return _out(lo + add_lo, hi + add_hi, abs(lo) + abs(hi) + abs(add_lo) + abs(add_hi))
-    if isinstance(e, (Sum, Max)):
-        node = e._profile.growth
-        dom_lo, parts = -math.inf, []
-        for kid, env in zip((e.left, e.right), kids):
-            kp = kid._profile
-            if kp.support == 0:
-                continue
-            if kp.support is not None:
-                # f_n <= f_1 on 1..s: at most f_1 / min(phi(1), phi(s)) times phi
-                f1 = eval_log_many(kid, (1,))[0]
-                floor = min(_log_phi_lo(node, 1), _log_phi_lo(node, kp.support))
-                parts.append(f1 - floor + SLACK * (1.0 + abs(f1) + abs(floor)))
-                continue
-            lo, hi = env
-            if kp.growth == node:
-                dom_lo = max(dom_lo, lo)
-                parts.append(hi)
-            else:
-                s = class_log_sup(kp.growth, node)
-                parts.append(hi + s + SLACK * (1.0 + abs(hi) + abs(s)))
-        hi = max(parts)
-        if isinstance(e, Sum) and len(parts) == 2:
-            hi += math.log1p(math.exp(min(parts) - hi))
-        return _out(dom_lo, hi, abs(dom_lo) + abs(hi))
-    raise TypeError(f"not a sequence expression: {e!r}")
+            s = class_log_sup(kp.growth, node)
+            parts.append(hi + s + SLACK * (1.0 + abs(hi) + abs(s)))
+    hi = max(parts)
+    if summed and len(parts) == 2:
+        hi += math.log1p(math.exp(min(parts) - hi))
+    return _out(dom_lo, hi, abs(dom_lo) + abs(hi))
+
+
+# node type -> the envelope of such a node from its children's, None for a finite support
+_ENVELOPE = {
+    PowerLog: lambda e: (0.0, 0.0),
+    Geometric: lambda e: (0.0, 0.0),
+    Finite: lambda e: None,
+    Scale: _scale_envelope,
+    Ampliate: _ampliate_envelope,
+    Decimate: _decimate_envelope,
+    Sum: lambda e, *kids: _join_envelope(e, kids, True),
+    Max: lambda e, *kids: _join_envelope(e, kids, False),
+    Product: _product_envelope,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -324,28 +347,33 @@ def _node_envelope(e: SeqExpr, *kids: tuple[float, float] | None) -> tuple[float
 def _piece_starts(e: SeqExpr) -> set[int]:
     """The indices in 1..support(e) at which a piece of e's finite parts starts.
 
-    A fold (``_node_starts``) over e: a ``Finite`` starts a piece at every
+    A fold (``_STARTS``) over e: a ``Finite`` starts a piece at every
     entry; ampliation by m maps a start j to (j-1)m + 1, decimation by k
     maps it to ceil(j/k); scale keeps the starts, and sum, max and product
     take the union.  Children of infinite support add none (in a product
     they are non-increasing within a piece).
     """
     size = profile(e).support
-    return {j for j in fold(e, _node_starts) | {1} if j <= size}
+    return {j for j in fold(e, _STARTS) | {1} if j <= size}
 
 
-def _node_starts(e: SeqExpr, *kids: frozenset[int]) -> frozenset[int]:
-    if e._profile.support is None:
-        return frozenset()
-    if isinstance(e, Finite):
-        return frozenset(range(1, len(e.values) + 1))
-    if isinstance(e, Ampliate):
-        m = e.order
-        return frozenset((j - 1) * m + 1 for j in kids[0])
-    if isinstance(e, Decimate):
-        k = e.step
-        return frozenset(-(-j // k) for j in kids[0])
-    return frozenset().union(*kids)  # scale, sum, max, product
+def _union_starts(e: SeqExpr, *kids: frozenset[int]) -> frozenset[int]:
+    return frozenset() if e._profile.support is None else frozenset().union(*kids)
+
+
+# node type -> the starts of such a node, from its children's; a node of
+# infinite support has none, so neither has an ampliation or decimation of it
+_STARTS = {
+    PowerLog: lambda e: frozenset(),
+    Geometric: lambda e: frozenset(),
+    Finite: lambda e: frozenset(range(1, len(e.values) + 1)),
+    Ampliate: lambda e, starts: frozenset((j - 1) * e.order + 1 for j in starts),
+    Decimate: lambda e, starts: frozenset(-(-j // e.step) for j in starts),
+    Scale: _union_starts,
+    Sum: _union_starts,
+    Max: _union_starts,
+    Product: _union_starts,
+}
 
 
 def _piece_log_sup(a: SeqExpr, b: SeqExpr, size: int) -> float:

@@ -6,7 +6,9 @@ Ideals:     prin(E) | KH | FH | prod(I,I) | sum(I,I) | pow(I,n)
 
 Numbers are integers, fractions a/b, or decimals; decimals parse to exact
 rationals.  ``render_seq``/``render_ideal`` emit the canonical spelling, and
-parsing a rendered expression reproduces it exactly.
+parsing a rendered expression reproduces it exactly.  They refuse, with a
+ValueError, a text longer than ``MAX_TEXT`` characters, which only a node
+shared by many paths can denote.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .sequences import (
     ampliate,
     decimate,
     finite,
+    fold,
     geometric,
     power_log,
     scale,
@@ -73,7 +76,7 @@ def _tokenize(text: str) -> list[_Tok]:
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         if kind == "bad":
-            raise ParseError(f"unexpected character {text[m.start()]!r}", m.start())
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
         out.append(_Tok(kind, m.group(kind), m.start(kind)))
     return out
 
@@ -246,7 +249,39 @@ _PIECES = {
 }
 
 
+# A shared node is rendered once per path, so the text of a reduced
+# ``pow(I, n)`` is exponential in the depth of its nodes.  No text longer
+# than this many characters is built.
+MAX_TEXT = 1 << 24
+
+
+def _measure(x, *kids: int) -> int:
+    """The length of x's text, from the lengths of the texts of its fold children.
+
+    A node with fold children has no other node among its pieces; the node
+    piece of a leaf, an ideal's generator, is measured by a fold of its own.
+    """
+    size = sum(kids)
+    for p in _PIECES[type(x)](x):
+        if type(p) is str:
+            size += len(p)
+        elif not kids:
+            size += fold(p, _LENGTH)
+    return size
+
+
+_LENGTH = dict.fromkeys(_PIECES, _measure)
+
+
 def _render(x) -> str:
+    """The canonical text of a sequence or an ideal; ValueError when it would exceed ``MAX_TEXT``."""
+    size = fold(x, _LENGTH)
+    if size > MAX_TEXT:
+        raise ValueError(f"the text would have {size} characters, more than the {MAX_TEXT} rendered")
+    return _build(x)
+
+
+def _build(x) -> str:
     """The canonical text of a sequence or an ideal, emitted from an explicit stack."""
     out: list[str] = []
     todo = [x]
@@ -254,13 +289,15 @@ def _render(x) -> str:
         item = todo.pop()
         if isinstance(item, str):
             out.append(item)
-            continue
-        try:
-            pieces = _PIECES[type(item)](item)
-        except KeyError:
-            raise TypeError(f"not a sequence expression or an ideal description: {item!r}") from None
-        todo += reversed(pieces)
+        else:
+            todo += reversed(_PIECES[type(item)](item))
     return "".join(out)
+
+
+def node_repr(x) -> str:
+    """``repr`` of a node: its kind and its text, or the length of a text above ``MAX_TEXT``."""
+    size = fold(x, _LENGTH)
+    return f"{type(x).__name__}({_build(x) if size <= MAX_TEXT else f'<{size} characters>'})"
 
 
 def render_seq(e: SeqExpr) -> str:

@@ -160,55 +160,59 @@ def rate_class(c: GrowthClass) -> GrowthClass:
 def profile(e: SeqExpr) -> Profile:
     """Support size and growth class of the sequence ``e`` denotes.
 
-    ``sequences.fold`` with the rule ``_node_profile`` fills the
-    ``_profile`` slot of each node that lacks one, so depth is bounded only
-    by memory.  A global cache keyed by the tree would rehash the whole
-    subtree on every lookup (frozen dataclasses do not cache their hash),
-    compare it recursively on a hit, and keep every tree it has seen alive;
-    the memo on the node costs none of that and dies with it.
+    ``sequences.fold`` with the rules ``_PROFILE`` fills the ``_profile``
+    slot of each node that lacks one, so depth is bounded only by memory.
+    A global cache keyed by the tree would hash the tree on every lookup,
+    compare it on a hit, and keep every tree it has seen alive; the memo on
+    the node costs none of that and dies with it.
     """
     try:
         return e._profile
     except AttributeError:
-        return fold(e, _node_profile, "_profile")
+        return fold(e, _PROFILE, "_profile")
 
 
-def _node_profile(e: SeqExpr, *kids: Profile) -> Profile:
-    """The profile of one node, from its children's profiles."""
-    if isinstance(e, PowerLog):
-        return Profile(None, GrowthClass((), e.p, e.q))
-    if isinstance(e, Geometric):
-        return Profile(None, GrowthClass(((e.ratio, ONE),), ZERO, ZERO))
-    if isinstance(e, Finite):
-        return Profile(len(e.values), None)
-    if isinstance(e, Scale):
-        return kids[0]
-    if isinstance(e, Ampliate):
-        p = kids[0]
-        if p.support is not None:
-            return Profile(e.order * p.support, None)
-        return Profile(None, amp_class(p.growth, e.order))
-    if isinstance(e, Decimate):
-        p = kids[0]
-        if p.support is not None:
-            return Profile(p.support // e.step, None)
-        return Profile(None, dec_class(p.growth, e.step))
-    if isinstance(e, (Sum, Max)):
-        pa, pb = kids
-        if pa.support is not None and pb.support is not None:
-            return Profile(max(pa.support, pb.support), None)
-        if pa.support is not None:
-            return pb
-        if pb.support is not None:
-            return pa
-        # the classes are totally ordered: the one that decays more slowly
-        return Profile(None, pb.growth if class_big_o(pa.growth, pb.growth) else pa.growth)
-    if isinstance(e, Product):
-        pa, pb = kids
-        if pa.support is None and pb.support is None:
-            return Profile(None, mul_class(pa.growth, pb.growth))
-        return Profile(min(s for s in (pa.support, pb.support) if s is not None), None)
-    raise TypeError(f"not a sequence expression: {e!r}")
+def _ampliate_profile(e: Ampliate, p: Profile) -> Profile:
+    if p.support is not None:
+        return Profile(e.order * p.support, None)
+    return Profile(None, amp_class(p.growth, e.order))
+
+
+def _decimate_profile(e: Decimate, p: Profile) -> Profile:
+    if p.support is not None:
+        return Profile(p.support // e.step, None)
+    return Profile(None, dec_class(p.growth, e.step))
+
+
+def _join_profile(e: Sum | Max, pa: Profile, pb: Profile) -> Profile:
+    if pa.support is not None and pb.support is not None:
+        return Profile(max(pa.support, pb.support), None)
+    if pa.support is not None:
+        return pb
+    if pb.support is not None:
+        return pa
+    # the classes are totally ordered: the one that decays more slowly
+    return Profile(None, pb.growth if class_big_o(pa.growth, pb.growth) else pa.growth)
+
+
+def _product_profile(e: Product, pa: Profile, pb: Profile) -> Profile:
+    if pa.support is None and pb.support is None:
+        return Profile(None, mul_class(pa.growth, pb.growth))
+    return Profile(min(s for s in (pa.support, pb.support) if s is not None), None)
+
+
+# node type -> the profile of such a node, from its children's profiles
+_PROFILE = {
+    PowerLog: lambda e: Profile(None, GrowthClass((), e.p, e.q)),
+    Geometric: lambda e: Profile(None, GrowthClass(((e.ratio, ONE),), ZERO, ZERO)),
+    Finite: lambda e: Profile(len(e.values), None),
+    Scale: lambda e, p: p,
+    Ampliate: _ampliate_profile,
+    Decimate: _decimate_profile,
+    Sum: _join_profile,
+    Max: _join_profile,
+    Product: _product_profile,
+}
 
 
 def min_ampliation_order(eta: Profile, gen: Profile, strict: bool) -> int | None:

@@ -38,10 +38,13 @@ from .compare import (
 )
 from .growth import Profile, amp_class, class_big_o, min_ampliation_order, mul_class, profile, rate_class
 from .sequences import (
+    Node,
     SeqExpr,
     ampliate,
     decimate,
     finite,
+    fold,
+    node,
     power_log,
     seq_product,
     seq_sum,
@@ -53,54 +56,58 @@ class PreconditionError(ValueError):
     """An operation was applied outside its stated hypotheses."""
 
 
-class IdealDesc:
-    """Base class for ideal descriptions; immutable like sequence expressions."""
+class IdealDesc(Node):
+    """Base class for ideal descriptions; immutable like sequence expressions.
+
+    The five normal forms are leaves for ``sequences.fold``, so a fold over
+    an ideal description never enters a generator.
+    """
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node()
 class Principal(IdealDesc):
     """The smallest ideal containing an operator with the given singular values."""
 
     generator: SeqExpr
 
 
-@dataclass(frozen=True)
+@node()
 class KH(IdealDesc):
     """The compact operators: every null sequence belongs."""
 
 
-@dataclass(frozen=True)
+@node()
 class FH(IdealDesc):
     """The finite-rank operators: exactly the finitely supported sequences."""
 
 
-@dataclass(frozen=True)
+@node()
 class ZeroIdeal(IdealDesc):
     """The zero ideal (reduced form of a principal ideal with zero generator)."""
 
 
-@dataclass(frozen=True)
+@node()
 class SoftInterior(IdealDesc):
     """Reduced form of Principal(g) * KH; membership is little-o against g."""
 
     generator: SeqExpr
 
 
-@dataclass(frozen=True)
+@node("left", "right")
 class IdealProduct(IdealDesc):
     left: IdealDesc
     right: IdealDesc
 
 
-@dataclass(frozen=True)
+@node("left", "right")
 class IdealSum(IdealDesc):
     left: IdealDesc
     right: IdealDesc
 
 
-@dataclass(frozen=True)
+@node("base")
 class IdealPower(IdealDesc):
     base: IdealDesc
     exponent: int
@@ -126,40 +133,42 @@ class SoftnessResult:
     t_witness: SeqExpr | None = None
 
 
-_REDUCED = (Principal, KH, FH, ZeroIdeal, SoftInterior)
-
-
 def reduce_ideal(desc: IdealDesc) -> IdealDesc:
     """Rewrite a description into one of the five normal forms.
 
     Products of principal ideals multiply generators; a product with the
     compacts becomes a soft interior; sums collapse onto whichever summand
     dominates (the sum of two principal ideals is principal, generated by
-    the pointwise sum).  Idempotent on its own output.
+    the pointwise sum).  ``pow(I, n)`` squares the reduced base from the
+    leading bit of n down and multiplies the base in at each set bit, over
+    shared nodes: its generator has O(log n) distinct ``Product`` nodes, and
+    n = 2 and n = 3 give ``prod(g,g)`` and ``prod(prod(g,g),g)``.  A fold
+    over the description (``sequences.fold``), so depth is bounded only by
+    memory.  Idempotent on its own output.
     """
-    if isinstance(desc, Principal):
-        if support(desc.generator) == 0:
-            return ZeroIdeal()
-        return desc
-    if isinstance(desc, SoftInterior):
-        s = support(desc.generator)
-        if s == 0:
-            return ZeroIdeal()
-        if s is not None:
-            return FH()  # F(H) absorbs: a finite-rank generator times the compacts
-        return desc
-    if isinstance(desc, (KH, FH, ZeroIdeal)):
-        return desc
-    if isinstance(desc, IdealPower):
-        out = reduce_ideal(desc.base)
-        for _ in range(desc.exponent - 1):
-            out = _reduce_product(out, reduce_ideal(desc.base))
-        return out
-    if isinstance(desc, IdealProduct):
-        return _reduce_product(reduce_ideal(desc.left), reduce_ideal(desc.right))
-    if isinstance(desc, IdealSum):
-        return _reduce_sum(reduce_ideal(desc.left), reduce_ideal(desc.right))
-    raise TypeError(f"not an ideal description: {desc!r}")
+    return fold(desc, _REDUCE)
+
+
+def _reduce_principal(desc: Principal) -> IdealDesc:
+    return ZeroIdeal() if support(desc.generator) == 0 else desc
+
+
+def _reduce_soft(desc: SoftInterior) -> IdealDesc:
+    s = support(desc.generator)
+    if s == 0:
+        return ZeroIdeal()
+    if s is not None:
+        return FH()  # F(H) absorbs: a finite-rank generator times the compacts
+    return desc
+
+
+def _reduce_power(base: IdealDesc, exponent: int) -> IdealDesc:
+    out = base
+    for bit in bin(exponent)[3:]:
+        out = _reduce_product(out, out)
+        if bit == "1":
+            out = _reduce_product(out, base)
+    return out
 
 
 def _reduce_product(a: IdealDesc, b: IdealDesc) -> IdealDesc:
@@ -167,17 +176,16 @@ def _reduce_product(a: IdealDesc, b: IdealDesc) -> IdealDesc:
         return ZeroIdeal()
     if isinstance(a, FH) or isinstance(b, FH):
         return FH()
+    if isinstance(b, KH):
+        a, b = b, a
     if isinstance(a, KH):
         if isinstance(b, KH):
             return KH()
-        gen = b.generator  # Principal or SoftInterior
-        return reduce_ideal(SoftInterior(gen))
-    if isinstance(b, KH):
-        return _reduce_product(b, a)
-    ga, gb = a.generator, b.generator
-    softened = isinstance(a, SoftInterior) or isinstance(b, SoftInterior)
-    gen = seq_product(ga, gb)
-    return reduce_ideal(SoftInterior(gen) if softened else Principal(gen))
+        return _reduce_soft(SoftInterior(b.generator))  # b is Principal or SoftInterior
+    gen = seq_product(a.generator, b.generator)
+    if isinstance(a, SoftInterior) or isinstance(b, SoftInterior):
+        return _reduce_soft(SoftInterior(gen))
+    return _reduce_principal(Principal(gen))
 
 
 def _reduce_sum(a: IdealDesc, b: IdealDesc) -> IdealDesc:
@@ -192,9 +200,9 @@ def _reduce_sum(a: IdealDesc, b: IdealDesc) -> IdealDesc:
     if isinstance(b, FH):
         return a
     if isinstance(a, Principal) and isinstance(b, Principal):
-        return reduce_ideal(Principal(seq_sum(a.generator, b.generator)))
+        return _reduce_principal(Principal(seq_sum(a.generator, b.generator)))
     if isinstance(a, SoftInterior) and isinstance(b, SoftInterior):
-        return reduce_ideal(SoftInterior(seq_sum(a.generator, b.generator)))
+        return _reduce_soft(SoftInterior(seq_sum(a.generator, b.generator)))
     # mixed principal + soft interior: the growth-class order is total, so
     # one side always swallows the other
     if isinstance(a, SoftInterior):
@@ -205,6 +213,19 @@ def _reduce_sum(a: IdealDesc, b: IdealDesc) -> IdealDesc:
     if min_ampliation_order(pa, pb, strict=True) is not None:
         return b  # (a) sits inside the soft interior of (b)
     raise AssertionError("total class order left a sum unreduced")
+
+
+# node type -> the reduced form of such a node, from its children's reduced forms
+_REDUCE = {
+    Principal: _reduce_principal,
+    SoftInterior: _reduce_soft,
+    KH: lambda desc: desc,
+    FH: lambda desc: desc,
+    ZeroIdeal: lambda desc: desc,
+    IdealProduct: lambda desc, a, b: _reduce_product(a, b),
+    IdealSum: lambda desc, a, b: _reduce_sum(a, b),
+    IdealPower: lambda desc, base: _reduce_power(base, desc.exponent),
+}
 
 
 def _member_order(eta: SeqExpr, red: IdealDesc) -> int | None:

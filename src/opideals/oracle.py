@@ -14,7 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .compare import DEFAULT_SETTINGS, Settings, sample_indices
 from .ideals import (
@@ -36,56 +35,9 @@ from .sequences import (
     ampliate,
     eval_log_many,
     evaluate,
-    head,
     seq_product,
     value_stream,
 )
-
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """An N-dimensional stand-in for a compact operator.
-
-    A diagonal model: its entries may be exact rationals or complex floats,
-    and its singular values are exactly the sorted moduli of its entries.
-    """
-
-    dimension: int
-    diagonal: tuple
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
-        if len(self.diagonal) != self.dimension:
-            raise ValueError("diagonal length must match the dimension")
-        for v in self.diagonal:
-            if not _finite_entry(v):
-                raise ValueError(f"non-finite diagonal entry: {v!r}")
-
-
-def _finite_entry(v) -> bool:
-    if isinstance(v, (int, Fraction)):
-        return True
-    if isinstance(v, complex):
-        return math.isfinite(v.real) and math.isfinite(v.imag)
-    if isinstance(v, float):
-        return math.isfinite(v)
-    return False
-
-
-def diagonal_operator(entries: Sequence) -> TruncatedOperator:
-    entries = tuple(entries)
-    return TruncatedOperator(dimension=len(entries), diagonal=entries)
-
-
-def truncate(e: SeqExpr, dimension: int) -> TruncatedOperator:
-    """Diagonal truncation diag(e_1, ..., e_N) with exact entries."""
-    return diagonal_operator(head(e, dimension))
-
-
-def singular_values(op: TruncatedOperator) -> list:
-    """Non-increasing singular values, exact: the sorted moduli of the diagonal."""
-    return sorted((abs(v) for v in op.diagonal), reverse=True)
 
 
 @dataclass(frozen=True)
@@ -186,45 +138,56 @@ def _frac_sqrt(v: Fraction) -> Fraction | None:
 
 def _exact_sqrt_expr(e: SeqExpr) -> SeqExpr | None:
     """An expression with exact rational values whose pointwise square is e."""
-    return sq.fold(e, _sqrt_rule)
+    return sq.fold(e, _SQRT)
 
 
-def _sqrt_rule(e: SeqExpr, *roots: SeqExpr | None) -> SeqExpr | None:
-    if isinstance(e, sq.Geometric):
-        r = _frac_sqrt(e.ratio)
-        return sq.Geometric(r) if r is not None else None
-    if isinstance(e, sq.PowerLog):
-        if e.q == 0 and e.p.denominator == 1 and e.p.numerator % 2 == 0 and e.p > 0:
-            return sq.PowerLog(e.p / 2)
-        return None
-    if isinstance(e, sq.Finite):
-        values = [_frac_sqrt(v) for v in e.values]
-        return sq.Finite(tuple(values)) if None not in values else None
-    if isinstance(e, (sq.Sum, sq.Max)) or None in roots:
-        return None
-    if isinstance(e, sq.Scale):
-        c = _frac_sqrt(e.factor)
-        return sq.scale(c, roots[0]) if c is not None else None
-    if isinstance(e, sq.Ampliate):
-        return sq.ampliate(roots[0], e.order)
-    if isinstance(e, sq.Decimate):
-        return sq.decimate(roots[0], e.step)
-    return seq_product(*roots)
+def _sqrt_geometric(e: sq.Geometric) -> SeqExpr | None:
+    r = _frac_sqrt(e.ratio)
+    return sq.Geometric(r) if r is not None else None
+
+
+def _sqrt_power_log(e: sq.PowerLog) -> SeqExpr | None:
+    if e.q == 0 and e.p.denominator == 1 and e.p.numerator % 2 == 0 and e.p > 0:
+        return sq.PowerLog(e.p / 2)
+    return None
+
+
+def _sqrt_finite(e: sq.Finite) -> SeqExpr | None:
+    values = [_frac_sqrt(v) for v in e.values]
+    return sq.Finite(tuple(values)) if None not in values else None
+
+
+def _sqrt_scale(e: sq.Scale, root: SeqExpr | None) -> SeqExpr | None:
+    c = _frac_sqrt(e.factor)
+    return sq.scale(c, root) if c is not None and root is not None else None
+
+
+# node type -> a square root of such a node from its children's, or None
+_SQRT = {
+    sq.Geometric: _sqrt_geometric,
+    sq.PowerLog: _sqrt_power_log,
+    sq.Finite: _sqrt_finite,
+    sq.Scale: _sqrt_scale,
+    sq.Ampliate: lambda e, root: None if root is None else sq.ampliate(root, e.order),
+    sq.Decimate: lambda e, root: None if root is None else sq.decimate(root, e.step),
+    sq.Sum: lambda e, a, b: None,
+    sq.Max: lambda e, a, b: None,
+    sq.Product: lambda e, a, b: None if a is None or b is None else seq_product(a, b),
+}
 
 
 def _constant_ratio(e: SeqExpr) -> Fraction | None:
     """The step ratio e(n+1)/e(n) when it is the same rational at every n."""
-    return sq.fold(e, _ratio_rule)
+    return sq.fold(e, _RATIO)
 
 
-def _ratio_rule(e: SeqExpr, *ratios: Fraction | None) -> Fraction | None:
-    if isinstance(e, sq.Geometric):
-        return e.ratio
-    if isinstance(e, sq.Scale):
-        return ratios[0]
-    if isinstance(e, sq.Product) and None not in ratios:
-        return ratios[0] * ratios[1]
-    return None
+# node type -> the constant step ratio of such a node from its children's, or None
+_RATIO = dict.fromkeys((sq.PowerLog, sq.Finite, sq.Ampliate, sq.Decimate, sq.Sum, sq.Max), lambda e, *ratios: None)
+_RATIO |= {
+    sq.Geometric: lambda e: e.ratio,
+    sq.Scale: lambda e, r: r,
+    sq.Product: lambda e, a, b: None if a is None or b is None else a * b,
+}
 
 
 def verify_product_split(

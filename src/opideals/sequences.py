@@ -13,9 +13,10 @@ IEEE binary64 where logarithms or fractional powers force it.
 
 Every pass over a tree goes through one of two walks with explicit stacks,
 so the depth of a tree is bounded only by memory.  ``fold`` computes a value
-per node from its children's values, children first, and memoises it: the
-growth profile, the log envelope, the pieces of finite parts and the
-oracle's closed forms are its rules.  ``_walk_indices`` evaluates:
+per distinct node from its children's values, children first, with one rule
+table per pass: the growth profile, the log envelope, the pieces of finite
+parts, the oracle's closed forms, the hash, the length of the text and the
+reduction of ideal descriptions are its rules.  ``_walk_indices`` evaluates:
 ampliation and decimation map an index list down the tree, and a log or an
 exact arithmetic combines the columns of values up; ``evaluate``,
 ``eval_log_many``, ``value_stream`` and ``head`` take their values from it.
@@ -50,18 +51,91 @@ def as_fraction(x: RationalLike, what: str = "value") -> Fraction:
         raise DomainError(f"{what} is not a rational number: {x!r}") from exc
 
 
-class SeqExpr:
+class Node:
+    """Base of every expression node: the sequences here, the ideal descriptions in ``ideals``.
+
+    ``==``, ``hash`` and ``repr`` never recurse.  ``==`` compares each
+    distinct pair of nodes once, with a stack; the hash of the tuple of
+    fields is memoised in the slot ``_hash``, filled children first by
+    ``fold``; ``repr`` is the kind and the canonical text.  Memo slots are
+    not fields, so none of them enters ``==``, ``hash`` or ``repr``.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        todo, seen = [(self, other)], set()
+        while todo:
+            a, b = todo.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if type(a) is not type(b):
+                return False
+            seen.add((id(a), id(b)))
+            for name in a.__match_args__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, Node):
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            return fold(self, _HASH, "_hash")
+
+    def __repr__(self):
+        from .grammar import node_repr  # grammar imports this module
+
+        return node_repr(self)
+
+
+class SeqExpr(Node):
     """Base class for sequence expressions; all nodes are immutable.
 
     The slots ``_profile`` and ``_envelope`` are not fields: ``growth.profile``
     memoises the node's profile in the first and ``envelope.envelope`` its log
-    envelope in the second, so equality, hashing and ``repr`` never see them.
+    envelope in the second.
     """
 
     __slots__ = ("_profile", "_envelope")
 
 
-@dataclass(frozen=True, slots=True)
+# node type -> its fold children, left to right, and its hash rule; ``node`` fills both
+_CHILDREN: dict[type, Callable[[Node], tuple]] = {}
+_HASH: dict[type, Callable[..., int]] = {}
+
+
+def node(*children: str):
+    """Class decorator of a node kind: a frozen slotted dataclass whose fields ``children`` are its fold children.
+
+    ``fold`` does not enter a node held by another field (an ideal's generator).
+    """
+
+    def make(cls):
+        cls = dataclass(frozen=True, slots=True, eq=False, repr=False)(cls)
+        if not children:
+            _CHILDREN[cls] = lambda e: ()
+        elif len(children) == 1:
+            (name,) = children
+            _CHILDREN[cls] = lambda e: (getattr(e, name),)
+        else:
+            _CHILDREN[cls] = operator.attrgetter(*children)
+        _HASH[cls] = _hash_fields
+        return cls
+
+    return make
+
+
+def _hash_fields(e: Node, *kids: int) -> int:
+    return hash(tuple([getattr(e, name) for name in e.__match_args__]))
+
+
+@node()
 class PowerLog(SeqExpr):
     """n |-> n^(-p) * log(n+1)^(-q).  Uses log(n+1) so every term is positive."""
 
@@ -79,7 +153,7 @@ class PowerLog(SeqExpr):
             )
 
 
-@dataclass(frozen=True, slots=True)
+@node()
 class Geometric(SeqExpr):
     """n |-> r^n with 0 < r < 1."""
 
@@ -90,7 +164,7 @@ class Geometric(SeqExpr):
             raise DomainError(f"geometric ratio must lie in (0,1), got {self.ratio}")
 
 
-@dataclass(frozen=True, slots=True)
+@node()
 class Finite(SeqExpr):
     """A finitely supported sequence; zero beyond its stored values.
 
@@ -112,7 +186,7 @@ class Finite(SeqExpr):
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True, slots=True)
+@node("inner")
 class Scale(SeqExpr):
     factor: Fraction
     inner: SeqExpr
@@ -122,7 +196,7 @@ class Scale(SeqExpr):
             raise DomainError(f"scale factor must be positive, got {self.factor}")
 
 
-@dataclass(frozen=True, slots=True)
+@node("inner")
 class Ampliate(SeqExpr):
     """Repeat every entry of the inner sequence ``order`` times."""
 
@@ -134,7 +208,7 @@ class Ampliate(SeqExpr):
             raise DomainError("ampliation order must be a positive integer")
 
 
-@dataclass(frozen=True, slots=True)
+@node("inner")
 class Decimate(SeqExpr):
     """n |-> inner(step * n)."""
 
@@ -146,19 +220,19 @@ class Decimate(SeqExpr):
             raise DomainError("decimation step must be a positive integer")
 
 
-@dataclass(frozen=True, slots=True)
+@node("left", "right")
 class Sum(SeqExpr):
     left: SeqExpr
     right: SeqExpr
 
 
-@dataclass(frozen=True, slots=True)
+@node("left", "right")
 class Max(SeqExpr):
     left: SeqExpr
     right: SeqExpr
 
 
-@dataclass(frozen=True, slots=True)
+@node("left", "right")
 class Product(SeqExpr):
     left: SeqExpr
     right: SeqExpr
@@ -263,43 +337,39 @@ ZERO = Finite(())
 # ---------------------------------------------------------------------------
 # walking the tree
 
-# the grammar's one children table: node type -> its children, left to right
-_CHILDREN = {kind: lambda e: () for kind in (PowerLog, Geometric, Finite)}
-_CHILDREN |= {kind: lambda e: (e.inner,) for kind in (Scale, Ampliate, Decimate)}
-_CHILDREN |= {kind: lambda e: (e.left, e.right) for kind in (Sum, Max, Product)}
 
-
-def fold(e: SeqExpr, rule: Callable[..., T], slot: str | None = None) -> T:
-    """``rule(node, *values of its children)`` at e, computed children first.
+def fold(e: Node, rules: dict[type, Callable[..., T]], slot: str | None = None) -> T:
+    """``rules[type(node)](node, *values of its fold children)`` at e, computed children first.
 
     One post-order walk with an explicit stack, so depth is bounded only by
-    memory.  With ``slot`` (``"_profile"`` or ``"_envelope"``) every node
-    keeps its value in that slot across calls, and a node that has one is
-    not entered again; otherwise the values live in a dict keyed by ``id``
-    for this call.  Either way a subtree shared by several parents is folded
-    once.  Threads that fill one slot at once store equal values.
+    memory.  With ``slot`` (``"_profile"``, ``"_envelope"`` or ``"_hash"``)
+    every node keeps its value in that slot across calls, and a node that
+    has one is not entered again; otherwise the values live in a dict keyed
+    by ``id`` for this call.  Either way a node shared by several parents,
+    such as the squares that reduce ``pow(I, n)``, is folded once, so a fold
+    costs one rule call per distinct node.  Threads that fill one slot at
+    once store equal values.
     """
     memo: dict[int, T] = {}
     value_of = (lambda n: memo[id(n)]) if slot is None else operator.attrgetter(slot)
-    todo: list[tuple[SeqExpr, tuple[SeqExpr, ...] | None]] = [(e, None)]
+    todo: list[tuple[Node, tuple[Node, ...] | None]] = [(e, None)]
     while todo:
         node, kids = todo.pop()
-        if kids is not None:  # leaving: every child has its value
-            value = rule(node, *map(value_of, kids))
-            if slot is None:
-                memo[id(node)] = value
-            else:
-                object.__setattr__(node, slot, value)
-        elif (id(node) in memo) if slot is None else hasattr(node, slot):
-            continue  # folded already, or a shared subtree pushed twice
-        else:  # entering: the children come first
-            try:
-                kids = _CHILDREN[type(node)](node)
-            except KeyError:
-                raise TypeError(f"not a sequence expression: {node!r}") from None
-            todo.append((node, kids))
-            for k in reversed(kids):
-                todo.append((k, None))
+        if kids is None:  # entering
+            if (id(node) in memo) if slot is None else hasattr(node, slot):
+                continue  # folded already, or a shared node pushed twice
+            if type(node) not in rules:
+                raise TypeError(f"not a node this fold knows: {node!r}")
+            kids = _CHILDREN[type(node)](node)
+            if kids:  # the children come first
+                todo.append((node, kids))
+                todo += [(k, None) for k in reversed(kids)]
+                continue
+        value = rules[type(node)](node, *map(value_of, kids))
+        if slot is None:
+            memo[id(node)] = value
+        else:
+            object.__setattr__(node, slot, value)
     return value_of(e)
 
 
@@ -351,9 +421,11 @@ def _walk_indices(e: SeqExpr, ns: tuple[int, ...], rules: dict) -> list:
     Going down, ampliation and decimation map the index list (an ampliation
     walks its child once per distinct index).  Coming up, ``rules``
     (``_LOGS`` or ``_EXACT``) make a leaf's column of values from its
-    indices, scale a column, or combine two columns pointwise.  A shared
-    subtree is walked once per path, as each path may reach it with other
-    indices.
+    indices, scale a column, or combine two columns pointwise.  A binary
+    node whose two children are one node, as in the squares that reduce
+    ``pow(I, n)``, walks it once and combines its column with itself; any
+    other shared node is walked once per path, as each path may reach it
+    with other indices.
     """
     todo: list[tuple[SeqExpr, tuple[int, ...] | None]] = [(e, ns)]  # (node, None) combines
     done: list[list] = []  # finished columns; an ampliation's slots lie under its child's column
@@ -368,11 +440,15 @@ def _walk_indices(e: SeqExpr, ns: tuple[int, ...], rules: dict) -> list:
                 done.append(rules[Scale](node.factor, done.pop()))
             else:
                 right = done.pop()
-                done.append(list(map(rules[kind], done.pop(), right)))
+                left = right if node.left is node.right else done.pop()
+                done.append(list(map(rules[kind], left, right)))
         elif kind in _LEAVES:
             done.append(rules[kind](node, ns))
         elif kind in _BINARY:
-            todo += [(node, None), (node.right, ns), (node.left, ns)]
+            todo.append((node, None))
+            if node.left is not node.right:
+                todo.append((node.right, ns))
+            todo.append((node.left, ns))
         elif kind is Scale:
             todo += [(node, None), (node.inner, ns)]
         elif kind is Ampliate:

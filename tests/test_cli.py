@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import opideals as op
 from opideals.cli import main
@@ -146,13 +150,39 @@ def test_ten_thousand_level_member_answers(capsys):
     assert out.splitlines()[1] == "verdict: no"
 
 
-def test_deeply_nested_ideal_ends_in_one_line_error(capsys):
-    # reduce_ideal still recurses over ideal descriptions, so the safety net catches it
-    deep = "sum(" * 1300 + "KH" + ",FH)" * 1300
-    code, out, err = run(capsys, "member", "pow(1)", deep)
-    assert code == 1
-    assert "Traceback" not in out + err
-    assert err.startswith("error: input too large or too deeply nested (RecursionError") and err.count("\n") == 1
+def test_ten_thousand_level_ideal_gets_verdicts(capsys):
+    assert sys.getrecursionlimit() <= 1000
+    deep = "sum(" * 10_000 + "KH" + ",FH)" * 10_000
+    for argv, verdict in (
+        (("member", "pow(1)", deep), "verdict: yes"),
+        (("soft", "pow(1)", deep), "verdict: no"),
+        (("equal", deep, "KH"), "verdict: yes"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv[0]
+        assert out.splitlines()[1] == verdict, argv[0]
+
+
+def test_recursion_error_ends_in_one_line_error(capsys, monkeypatch):
+    import opideals.ideals
+
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(opideals.ideals, "reduce_ideal", too_deep)
+    code, out, err = run(capsys, "member", "pow(1)", "KH")
+    assert code == 1 and out == ""
+    assert err == "error: input too large or too deeply nested (RecursionError: maximum recursion depth exceeded)\n"
+
+
+def test_a_closed_stdout_ends_quietly():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "opideals.cli", "member", "pow(1)", "prin(pow(1/2))", "--json"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before the first byte is written
+    err = proc.stderr.read()
+    assert proc.wait() == 1 and err == b""
 
 
 def test_internal_error_ends_in_one_line_error(capsys, monkeypatch):

@@ -1,10 +1,10 @@
 """Library questions on expression trees far deeper than the recursion limit.
 
-Every pass over a sequence tree is ``sequences.fold`` or the index walk of
-the evaluators, both with explicit stacks: profiles, supports, log
-envelopes, exact and log values, streams, the oracle's truncations, parsing
-and rendering never recurse into the tree.  Only dataclass ``==``, ``hash``
-and ``repr`` still do, so these tests compare deep trees by their text.
+Every pass over a sequence tree or an ideal description is
+``sequences.fold`` or the index walk of the evaluators, both with explicit
+stacks: profiles, supports, log envelopes, reduction, exact and log values,
+streams, parsing, rendering, and ``==``, ``hash`` and ``repr`` never recurse
+into the tree.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import pytest
 
 import opideals as op
 from opideals.growth import profile
-from opideals.oracle import truncate
 from opideals.sequences import head
 
 SCALES = (Fraction(2), Fraction(1, 3), Fraction(3, 2))
@@ -106,6 +105,13 @@ def test_ten_thousand_levels_parse_render_evaluate_and_stream():
     values = [op.evaluate(e, n) for n in (1, 2, 1000)]
     logs = op.eval_log_many(e, (1, 2, 1000))
     assert all(math.isclose(math.log(v), x, rel_tol=1e-9) for v, x in zip(values, logs))
-    first = head(e, 64)
-    assert first == [op.evaluate(e, n) for n in range(1, 65)]
-    assert list(truncate(e, 64).diagonal) == first
+    assert head(e, 64) == [op.evaluate(e, n) for n in range(1, 65)]
+
+
+def test_ten_thousand_levels_compare_hash_and_print():
+    slow = (Fraction(1), Fraction(1, 2))
+    a, b = chain(11, 10_000, slow), chain(11, 10_000, slow)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == f"{type(a).__name__}({op.render_seq(a)})"
+    other = chain(12, 10_000, slow)
+    assert a != other and op.Principal(a) == op.Principal(b) and op.Principal(a) != op.Principal(other)

@@ -50,6 +50,13 @@ def test_syntax_errors():
             parse_ideal(text)
 
 
+def test_a_bad_character_is_named_where_it_stands():
+    for text, at in (("pow(1) #", 7), ("pow(1)#", 6), ("  #", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_seq(text)
+        assert str(err.value) == f"unexpected character '#' (at position {at})" and err.value.position == at
+
+
 def test_render_parse_round_trip_random(rng):
     for _ in range(80):
         e = random_expr(rng, depth=3)

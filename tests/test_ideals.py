@@ -159,6 +159,33 @@ def test_reduce_power_of_principal():
     assert ideal_equal(r, Principal(P3)).is_yes
 
 
+def test_powers_by_squaring_match_the_linear_chain():
+    g = op.seq_product(op.scale(Fraction(3, 2), G2), op.ampliate(op.power_log(Fraction(1, 2), 1), 2))
+    ns = (1, 2, 7, 1000, 10**6)
+    chain = g
+    for n in range(1, 65):
+        gen = reduce_ideal(IdealPower(Principal(g), n)).generator
+        assert profile(gen) == profile(chain)
+        for x, y in zip(op.eval_log_many(gen, ns), op.eval_log_many(chain, ns)):
+            assert math.isclose(x, y, rel_tol=1e-12)
+        chain = op.seq_product(chain, g)
+    square, cube = (reduce_ideal(IdealPower(Principal(g), n)).generator for n in (2, 3))
+    assert square.left is g and square.right is g
+    assert cube == op.seq_product(op.seq_product(g, g), g) and cube.right is g
+
+
+def test_huge_powers_reduce_compare_and_hash_at_once():
+    start = time.perf_counter()
+    a, b = (reduce_ideal(IdealPower(Principal(P1), 2**40)) for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert profile(a.generator).growth.power == 2**40
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError, match="characters"):
+        op.render_ideal(a)
+    # prin( and ), 2^40 times pow(1), and 2^40 - 1 times prod( , and )
+    assert repr(a) == f"Principal(<{6 + 6 * 2**40 + 7 * (2**40 - 1)} characters>)"
+
+
 def test_reduce_product_commutes_up_to_membership(rng):
     for _ in range(20):
         a, b = random_atom(rng), random_atom(rng)

@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -10,38 +9,20 @@ import pytest
 import opideals as op
 from opideals.ideals import KH, PreconditionError, Principal, is_soft
 from opideals.oracle import (
-    TruncatedOperator,
-    diagonal_operator,
-    singular_values,
-    truncate,
     verify_ampliation_ratio,
     verify_power_gap_divergence,
     verify_product_split,
     verify_softness_witness,
 )
-from opideals.sequences import evaluate, value_stream
+from opideals.sequences import evaluate, head, value_stream
 
 P1 = op.power_log(1)
 G2 = op.geometric(Fraction(1, 2))
 
 
-def test_singular_values_diagonal_moduli_sorted():
-    opr = diagonal_operator([1j, Fraction(-1, 2), complex(0, 1 / 3)])
-    sv = singular_values(opr)
-    assert sv[0] == 1
-    assert sv[1] == Fraction(1, 2)
-    assert sv[2] == pytest.approx(1 / 3)
-
-
 def test_singular_values_of_truncated_sequence_exact():
     n = 64
-    opr = truncate(P1, n)
-    assert singular_values(opr) == [Fraction(1, k) for k in range(1, n + 1)]
-
-
-def test_operator_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        diagonal_operator([1.0, math.inf])
+    assert head(P1, n) == [Fraction(1, k) for k in range(1, n + 1)]
 
 
 def test_ampliation_semantics_exact():
@@ -52,7 +33,7 @@ def test_ampliation_semantics_exact():
     for i in range(1, n + 1):
         expected.append(evaluate(G2, -(-i // m)))
     assert diag == expected
-    assert singular_values(truncate(amp, n)) == expected
+    assert head(amp, n) == expected
 
 
 def test_ratio_limit_converges_for_small_orders():
@@ -123,13 +104,6 @@ def test_no_verdict_backed_by_divergence_oracle():
     # the engine's refusal of member(pow2, prin(pow3)) matches the blow-up check
     assert op.member(op.power_log(2), Principal(op.power_log(3))).is_no
     assert verify_power_gap_divergence(1, n_max=10**6).passed
-
-
-def test_truncated_operator_validation():
-    with pytest.raises(ValueError):
-        TruncatedOperator(dimension=2, diagonal=(1,))
-    with pytest.raises(ValueError):
-        TruncatedOperator(dimension=0, diagonal=())
 
 
 def test_engine_witnesses_verify_on_random_corpus(rng):
