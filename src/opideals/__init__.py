@@ -4,8 +4,9 @@ The package decides membership, products, softness, and the classification
 of principal and finitely generated subideals, working on the sequence
 coordinates that characterize an operator ideal.  All values are immutable
 and all operations are pure, so everything here is safe to share across
-threads.  The only writes, an expression node memoising its own profile, log
-envelope and hash, store the same value whichever thread makes them.
+threads.  The only writes, an expression node memoising its own profile and
+log envelope, store the same value whichever thread makes them; a node's
+hash is computed afresh on each call and kept nowhere.
 """
 
 from .classify import (

@@ -88,24 +88,18 @@ def classify_principal(
     require_member(s_expr, ideal, "classification needs S in J; membership verdict", settings=settings, mode=mode)
     softness = is_soft(s_expr, ideal, settings=settings, mode=mode)
     verdict = softness.verdict
+    collapse: IdealDesc | None = None
     if verdict.is_yes:
-        collapse: IdealDesc | None = FH() if support(s_expr) is not None else Principal(s_expr)
+        collapse = FH() if support(s_expr) is not None else Principal(s_expr)
         relations = [EQUAL] * 5
         bh = Verdict.yes(verdict.witness)
-    elif verdict.is_no:
-        collapse = None
+    else:
         probe = probe_chain_link(s_expr, ideal, settings=settings, mode=mode)
         first = EQUAL if probe.is_yes else STRICT if probe.is_no else UNKNOWN
         # S = AS + SB + sum A_i S B_i would make (S) soft, so the second link
         # is strict exactly when softness fails
-        relations = [first, STRICT, STRICT, STRICT, STRICT]
-        bh = Verdict.no(verdict.certificate)
-    else:
-        collapse = None
-        probe = probe_chain_link(s_expr, ideal, settings=settings, mode=mode)
-        first = EQUAL if probe.is_yes else STRICT if probe.is_no else UNKNOWN
-        relations = [first, UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN]
-        bh = Verdict.unknown(verdict.reason)
+        relations = [first] + [STRICT if verdict.is_no else UNKNOWN] * 4
+        bh = Verdict.no(verdict.certificate) if verdict.is_no else Verdict.unknown(verdict.reason)
     return SubidealReport(
         softness=softness,
         is_bh_ideal=bh,
@@ -198,13 +192,8 @@ def probe_chain_link(
         from .grammar import render_seq
 
         # gen(J) is named, not rendered: the reduced generator of pow(J, n) has a text exponential in n's bits
-        return Verdict.no(
-            Certificate(
-                window=inside.certificate.window,
-                note=f"witness gen(J)*{render_seq(s_expr)} lies in JS but not in J(S)J",
-                samples=inside.certificate.samples,
-            )
-        )
+        note = f"witness gen(J)*{render_seq(s_expr)} lies in JS but not in J(S)J"
+        return Verdict.no(replace(inside.certificate, note=note))
     if inside.is_yes:
         return Verdict.unknown(
             "the canonical witness is absorbed by J(S)J and J is not provably idempotent"

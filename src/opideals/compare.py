@@ -371,6 +371,14 @@ def _numeric(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings) -> Verdic
     return Verdict.unknown("sampled ratio trend is inconclusive over the window")
 
 
+def _decide(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings, mode: str) -> Verdict:
+    if mode == "numeric":
+        return _numeric(a, b, strict=strict, settings=settings)
+    if mode in ("auto", "symbolic"):
+        return _symbolic(a, b, strict=strict, settings=settings)
+    raise ValueError(f"unknown comparison mode: {mode!r}")
+
+
 def big_o(
     a: SeqExpr,
     b: SeqExpr,
@@ -384,11 +392,7 @@ def big_o(
     always returns Yes or No; ``mode='numeric'`` forces the sampled
     fallback, whose honest third answer is Unknown.
     """
-    if mode == "numeric":
-        return _numeric(a, b, strict=False, settings=settings)
-    if mode in ("auto", "symbolic"):
-        return _symbolic(a, b, strict=False, settings=settings)
-    raise ValueError(f"unknown comparison mode: {mode!r}")
+    return _decide(a, b, False, settings, mode)
 
 
 def little_o(
@@ -399,8 +403,4 @@ def little_o(
     mode: str = "auto",
 ) -> Verdict:
     """Decide a_n = o(b_n); strict analogue of :func:`big_o`."""
-    if mode == "numeric":
-        return _numeric(a, b, strict=True, settings=settings)
-    if mode in ("auto", "symbolic"):
-        return _symbolic(a, b, strict=True, settings=settings)
-    raise ValueError(f"unknown comparison mode: {mode!r}")
+    return _decide(a, b, True, settings, mode)

@@ -21,7 +21,7 @@ of itself times some member of J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .compare import (
@@ -271,7 +271,7 @@ def _member_reduced(eta: SeqExpr, red: IdealDesc, settings: Settings, mode: str)
             else "no ampliation of the generator dominates the sequence"
         )
         cert = base.certificate or Certificate(note=note)
-        return Verdict.no(Certificate(window=cert.window, note=f"{note}: {cert.note}", samples=cert.samples))
+        return Verdict.no(replace(cert, note=f"{note}: {cert.note}"))
     target = ampliate(gen, m)
     constant = certified_constant(eta, target, settings)
     return Verdict.yes(
@@ -295,13 +295,7 @@ def _member_numeric(eta: SeqExpr, gen: SeqExpr, strict: bool, settings: Settings
     if saw_unknown:
         return Verdict.unknown("numeric sampling left some ampliation orders undecided")
     cert = last_no.certificate if last_no else Certificate(note="no ampliation order within the grid")
-    return Verdict.no(
-        Certificate(
-            window=cert.window,
-            note=f"no ampliation order up to {settings.grid_m} dominates: {cert.note}",
-            samples=cert.samples,
-        )
-    )
+    return Verdict.no(replace(cert, note=f"no ampliation order up to {settings.grid_m} dominates: {cert.note}"))
 
 
 def member(
@@ -361,11 +355,11 @@ def ideal_equal(
     inc_ab = _included(a, b, settings, mode)
     if inc_ab.is_no:
         c = inc_ab.certificate
-        return Verdict.no(Certificate(window=c.window, note=f"left not included in right: {c.note}", samples=c.samples))
+        return Verdict.no(replace(c, note=f"left not included in right: {c.note}"))
     inc_ba = _included(b, a, settings, mode)
     if inc_ba.is_no:
         c = inc_ba.certificate
-        return Verdict.no(Certificate(window=c.window, note=f"right not included in left: {c.note}", samples=c.samples))
+        return Verdict.no(replace(c, note=f"right not included in left: {c.note}"))
     if inc_ab.is_yes and inc_ba.is_yes:
         return Verdict.yes(Witness(note="mutual inclusion of reduced generators"))
     return Verdict.unknown("one of the inclusion tests was inconclusive")
@@ -457,9 +451,7 @@ def _generator_witness(gen: SeqExpr, m: int, damped: bool) -> SeqExpr:
 def _soft_no(note: str, base: Verdict, fallback: str) -> SoftnessResult:
     """A No whose certificate is the one of the comparison ``base`` (window and tail samples)."""
     cert = base.certificate or Certificate(note=fallback)
-    return SoftnessResult(
-        verdict=Verdict.no(Certificate(window=cert.window, note=f"{note}: {cert.note}", samples=cert.samples))
-    )
+    return SoftnessResult(verdict=Verdict.no(replace(cert, note=f"{note}: {cert.note}")))
 
 
 def is_soft(

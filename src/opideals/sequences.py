@@ -55,13 +55,14 @@ class Node:
     """Base of every expression node: the sequences here, the ideal descriptions in ``ideals``.
 
     ``==``, ``hash`` and ``repr`` never recurse.  ``==`` compares each
-    distinct pair of nodes once, with a stack; the hash of the tuple of
-    fields is memoised in the slot ``_hash``, filled children first by
-    ``fold``; ``repr`` is the kind and the canonical text.  Memo slots are
-    not fields, so none of them enters ``==``, ``hash`` or ``repr``.
+    distinct pair of nodes once, with a stack; ``hash`` is a ``fold`` that
+    hashes each distinct node once per call, from its children's hashes and
+    its other fields, and keeps nothing on the node; ``repr`` is the kind
+    and the canonical text.  Memo slots are not fields, so none of them
+    enters ``==``, ``hash`` or ``repr``.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -83,10 +84,7 @@ class Node:
         return True
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            return fold(self, _HASH, "_hash")
+        return fold(self, _HASH)
 
     def __repr__(self):
         from .grammar import node_repr  # grammar imports this module
@@ -125,14 +123,12 @@ def node(*children: str):
             _CHILDREN[cls] = lambda e: (getattr(e, name),)
         else:
             _CHILDREN[cls] = operator.attrgetter(*children)
-        _HASH[cls] = _hash_fields
+        others = [name for name in cls.__match_args__ if name not in children]
+        # a child enters by its hash, which fold has computed: hashing the child itself would recurse
+        _HASH[cls] = lambda e, *kids: hash((*kids, *[getattr(e, name) for name in others]))
         return cls
 
     return make
-
-
-def _hash_fields(e: Node, *kids: int) -> int:
-    return hash(tuple([getattr(e, name) for name in e.__match_args__]))
 
 
 @node()
@@ -342,13 +338,13 @@ def fold(e: Node, rules: dict[type, Callable[..., T]], slot: str | None = None) 
     """``rules[type(node)](node, *values of its fold children)`` at e, computed children first.
 
     One post-order walk with an explicit stack, so depth is bounded only by
-    memory.  With ``slot`` (``"_profile"``, ``"_envelope"`` or ``"_hash"``)
-    every node keeps its value in that slot across calls, and a node that
-    has one is not entered again; otherwise the values live in a dict keyed
-    by ``id`` for this call.  Either way a node shared by several parents,
-    such as the squares that reduce ``pow(I, n)``, is folded once, so a fold
-    costs one rule call per distinct node.  Threads that fill one slot at
-    once store equal values.
+    memory.  With ``slot`` (``"_profile"`` or ``"_envelope"``) every node
+    keeps its value in that slot across calls, and a node that has one is
+    not entered again; otherwise (the hash, for one) the values live in a
+    dict keyed by ``id`` for this call.  Either way a node shared by several
+    parents, such as the squares that reduce ``pow(I, n)``, is folded once,
+    so a fold costs one rule call per distinct node.  Threads that fill one
+    slot at once store equal values.
     """
     memo: dict[int, T] = {}
     value_of = (lambda n: memo[id(n)]) if slot is None else operator.attrgetter(slot)
