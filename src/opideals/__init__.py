@@ -7,18 +7,15 @@ and all operations are pure, so everything here is safe to share across
 threads.  The only writes, an expression node memoising its own profile and
 log envelope, store the same value whichever thread makes them; a node's
 hash is computed afresh on each call and kept nowhere.
+
+Importing the package loads the layers every question uses: ``sequences``,
+``growth``, ``envelope``, ``compare``, ``ideals`` and ``grammar``.  The
+classification names (``classify_principal`` and the rest of
+``opideals.classify``) are served on first use through the module
+``__getattr__`` (PEP 562); ``opideals.numeric`` (the sampled fallback of
+``mode="numeric"``) and ``opideals.oracle`` load when they are called for.
 """
 
-from .classify import (
-    CHAIN_POSITIONS,
-    ChainLink,
-    SubidealReport,
-    classify_finitely_generated,
-    classify_principal,
-    nonlinearity_witness,
-    probe_chain_link,
-    two_generator_principality,
-)
 from .compare import (
     DEFAULT_SETTINGS,
     Certificate,
@@ -77,4 +74,31 @@ from .sequences import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names of opideals.classify, which loads on the first access to one of them
+_CLASSIFY = (
+    "CHAIN_POSITIONS",
+    "ChainLink",
+    "SubidealReport",
+    "classify_finitely_generated",
+    "classify_principal",
+    "nonlinearity_witness",
+    "probe_chain_link",
+    "two_generator_principality",
+)
+
+
+def __getattr__(name: str):
+    if name not in _CLASSIFY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import classify
+
+    value = globals()[name] = getattr(classify, name)  # later lookups find it directly
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_CLASSIFY})
+
+
+# the names imported above, the submodules they loaded, and the classify names with their module
+__all__ = sorted([name for name in globals() if not name.startswith("_")] + [*_CLASSIFY, "classify"])

@@ -9,9 +9,14 @@ byte-identical output.
 the heading of its text output; ``build_parser`` makes one subcommand per
 row and adds the shared flags to each.  A command's answer is a ``Verdict``,
 a ``SoftnessResult`` or a ``SubidealReport``, and ``RESULTS`` gives each of
-these types its JSON key, the verdict whose Unknown sets exit code 2 and its
-text lines, so every result is rendered in one place.  The ``oracle`` checks
-answer with an ``OracleReport`` and always exit 0.
+these types, by name, its JSON key, the verdict whose Unknown sets exit code
+2 and its text lines, so every result is rendered in one place.  The
+``oracle`` checks answer with an ``OracleReport`` and always exit 0.
+
+A question loads only the layers it uses: ``opideals.classify`` is imported
+for ``classify``, ``classify-fg`` and ``principality2`` only,
+``opideals.oracle`` for ``oracle`` only, and ``opideals.numeric`` (through
+``compare`` and ``ideals``) under ``--numeric`` only.
 
 The ``opideals-report/1`` document is written by one ``json.dumps`` whose
 ``_encode`` turns a node into its canonical text, a ``Fraction`` into ``n``
@@ -31,12 +36,15 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .classify import SubidealReport, classify_finitely_generated, classify_principal, two_generator_principality
 from .compare import DEFAULT_SETTINGS, Settings, Verdict
 from .grammar import ParseError, parse_ideal, parse_seq, render_ideal, render_seq
 from .ideals import IdealDesc, PreconditionError, SoftnessResult, ideal_equal, is_soft, member
 from .sequences import DomainError, SeqExpr
+
+if TYPE_CHECKING:
+    from .classify import SubidealReport
 
 SCHEMA = "opideals-report/1"
 
@@ -218,11 +226,12 @@ def _oracle_lines(rep) -> list[str]:
     return lines
 
 
-# result type -> (its JSON key, the verdict that sets the exit code, its text lines)
+# name of the result type -> (its JSON key, the verdict that sets the exit code, its text lines);
+# keyed by name, so that SubidealReport's module loads only for the commands that answer with one
 RESULTS = {
-    Verdict: ("verdict", lambda v: v, _verdict_lines),
-    SoftnessResult: ("softness", lambda res: res.verdict, _softness_lines),
-    SubidealReport: ("report", lambda rep: rep.is_bh_ideal, _report_lines),
+    "Verdict": ("verdict", lambda v: v, _verdict_lines),
+    "SoftnessResult": ("softness", lambda res: res.verdict, _softness_lines),
+    "SubidealReport": ("report", lambda rep: rep.is_bh_ideal, _report_lines),
 }
 
 
@@ -233,22 +242,27 @@ class UsageError(ValueError):
 def _answer(ns: argparse.Namespace, settings: Settings, mode: str):
     """Parse the arguments, answer, then render the arguments: (result, the arguments as rendered)."""
     kw = {"settings": settings, "mode": mode}
+    if ns.command == "equal":
+        left, right = parse_ideal(ns.left), parse_ideal(ns.right)
+        return ideal_equal(left, right, **kw), {"left": render_ideal(left), "right": render_ideal(right)}
+    if ns.command in ("member", "soft"):
+        s, ideal = parse_seq(ns.seq), parse_ideal(ns.ideal)
+        result = (member if ns.command == "member" else is_soft)(s, ideal, **kw)
+        return result, {"seq": render_seq(s), "ideal": render_ideal(ideal)}
+    from . import classify  # imported here: only these three commands need it
+
     if ns.command == "classify-fg":
         if len(ns.args) < 2:
             raise UsageError("classify-fg needs at least one sequence and the ideal")
         gens, ideal = [parse_seq(t) for t in ns.args[:-1]], parse_ideal(ns.args[-1])
-        rep = classify_finitely_generated(gens, ideal, **kw)
+        rep = classify.classify_finitely_generated(gens, ideal, **kw)
         return rep, {"generators": [render_seq(g) for g in gens], "ideal": render_ideal(ideal)}
     if ns.command == "principality2":
         s, t, ideal = parse_seq(ns.seq_s), parse_seq(ns.seq_t), parse_ideal(ns.ideal)
-        v = two_generator_principality(s, t, ideal, disjoint_supports=not ns.not_disjoint, **kw)
+        v = classify.two_generator_principality(s, t, ideal, disjoint_supports=not ns.not_disjoint, **kw)
         return v, {"s": render_seq(s), "t": render_seq(t), "ideal": render_ideal(ideal)}
-    if ns.command == "equal":
-        left, right = parse_ideal(ns.left), parse_ideal(ns.right)
-        return ideal_equal(left, right, **kw), {"left": render_ideal(left), "right": render_ideal(right)}
     s, ideal = parse_seq(ns.seq), parse_ideal(ns.ideal)
-    result = {"member": member, "soft": is_soft, "classify": classify_principal}[ns.command](s, ideal, **kw)
-    return result, {"seq": render_seq(s), "ideal": render_ideal(ideal)}
+    return classify.classify_principal(s, ideal, **kw), {"seq": render_seq(s), "ideal": render_ideal(ideal)}
 
 
 def _check(ns: argparse.Namespace, settings: Settings, mode: str):
@@ -278,7 +292,7 @@ def _run(ns: argparse.Namespace) -> int:
         code, lines = 0, _oracle_lines(rep)
     else:
         result, arguments = _answer(ns, settings, mode)
-        key, verdict_of, lines_of = RESULTS[type(result)]
+        key, verdict_of, lines_of = RESULTS[type(result).__name__]
         doc.update({"arguments": arguments, key: result})
         code = 2 if verdict_of(result).is_unknown else 0
         heading = COMMANDS[ns.command][2]

@@ -2,9 +2,12 @@
 
 The symbolic path decides every comparison inside the grammar exactly, via
 the total order on growth classes, and is never Unknown.  A numeric
-fallback samples the ratio a_n/b_n on a geometric index grid; numeric
-evidence can never prove an asymptotic statement, so the fallback answers
-Yes/No only on unambiguous trends and returns Unknown otherwise.
+fallback (``mode="numeric"``, in ``opideals.numeric``) samples the ratio
+a_n/b_n on a geometric index grid; numeric evidence can never prove an
+asymptotic statement, so the fallback answers Yes/No only on unambiguous
+trends and returns Unknown otherwise.  Its sampled constants,
+``observed_supremum``, ``observed_constant`` and ``rational_ceiling``, are
+served from here too, and load ``opideals.numeric`` on first access.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import lru_cache
 
 from .envelope import constant_from_log, log_sup_ratio
 from .growth import class_big_o, class_little_o, profile
-from .sequences import SeqExpr, eval_log_many, support
+from .sequences import SeqExpr, eval_log_many
 
 
 class Outcome(str, Enum):
@@ -48,6 +51,8 @@ class Certificate:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A three-valued answer: a Yes carries a witness, a No a certificate, an Unknown a reason."""
+
     outcome: Outcome
     witness: Witness | None = None
     certificate: Certificate | None = None
@@ -124,6 +129,8 @@ class Settings:
 DEFAULT_SETTINGS = Settings()
 
 
+# the index grid and the ratio logs stay here: the tail samples of a symbolic
+# No (``_tail_samples``) and the oracle use them, as well as opideals.numeric
 def sample_indices(lo: int, hi: int, count: int) -> list[int]:
     """About ``count`` integers spread geometrically over [lo, hi], sorted, ending at hi."""
     return list(_sample_indices(lo, hi, count))
@@ -160,47 +167,14 @@ def _ratio_logs(a: SeqExpr, b: SeqExpr, ns: list[int], both_zero: float) -> list
     ]
 
 
-def observed_supremum(a: SeqExpr, b: SeqExpr, settings: Settings) -> float:
-    """sup of a_n/b_n over a dense head plus the sampled window (as a float).
+# the sampled constants of the numeric fallback, served from opideals.numeric,
+# which loads on the first access to one of them
+def __getattr__(name: str):
+    if name not in ("observed_supremum", "observed_constant", "rational_ceiling"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import numeric
 
-    The head is 1..1024 (extended to the support of a when that is finite);
-    the window adds ``2 * sample_count`` geometric samples.  The maximum is
-    taken on the log scale, so ``exp`` runs once.
-    """
-    hi = settings.window_hi
-    head = min(hi, 1024)
-    sup_a = support(a)
-    if sup_a is not None:
-        head = min(hi, max(head, sup_a))
-    idx = list(range(1, head + 1))
-    idx += sample_indices(settings.window_lo, hi, 2 * settings.sample_count)
-    best = max(_ratio_logs(a, b, sorted(set(idx)), both_zero=-math.inf))
-    if best == -math.inf:
-        return 0.0
-    return math.inf if best == math.inf else math.exp(min(best, 700.0))
-
-
-def rational_ceiling(x: float) -> Fraction:
-    """Smallest convenient rational upper bound for a positive float."""
-    if x <= 0:
-        return Fraction(1)
-    if x == math.inf:
-        raise ValueError("no rational bound for an infinite supremum")
-    scaled = math.ceil(x * (1 << 24))
-    return Fraction(scaled, 1 << 24)
-
-
-def observed_constant(a: SeqExpr, b: SeqExpr, settings: Settings) -> Fraction:
-    """A sampled witness constant, for ``mode="numeric"`` only.
-
-    ``constant_factor`` times the supremum of a_n/b_n over the head 1..1024
-    plus ``2 * sample_count`` geometric samples of the window.  It is not a
-    proven bound: for ``pow(1)`` against ``sum(pow(1),scale(1000,pow(1,1/4)))``
-    it is about 0.00385, while the ratio tends to 1.  The symbolic path uses
-    ``certified_constant``.
-    """
-    sup = observed_supremum(a, b, settings)
-    return rational_ceiling(settings.constant_factor * max(sup, 1e-30))
+    return getattr(numeric, name)
 
 
 def certified_constant(a: SeqExpr, b: SeqExpr, settings: Settings) -> Fraction:
@@ -290,90 +264,11 @@ def _symbolic(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings) -> Verdi
     )
 
 
-def _numeric(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings) -> Verdict:
-    pa, pb = profile(a), profile(b)
-    if pa.is_zero:
-        return Verdict.yes(Witness(constant=Fraction(1), window=settings.window(), note="left side is zero"))
-    if pb.support is not None and pa.support is None:
-        return Verdict.no(
-            Certificate(
-                window=(pb.support + 1, pb.support + 2),
-                note="right side eventually zero while the left side is not",
-            )
-        )
-    if pb.support is not None:
-        # the sampled window starts past both supports, where the ratio is 0/0
-        return _finite_supports(a, b, pa.support, pb.support, strict, settings)
-    if pa.support is not None:
-        # the window may start past the left support and sample only zeros
-        return _symbolic(a, b, strict, settings)
-    ns = sample_indices(settings.window_lo, settings.window_hi, settings.sample_count)
-    ratios: list[tuple[int, float]] = []
-    for n, r in zip(ns, _ratio_logs(a, b, ns, both_zero=0.0)):
-        if r == math.inf:
-            return Verdict.no(
-                Certificate(window=(n, n), note=f"right side vanishes at index {n} with nonzero left side")
-            )
-        ratios.append((n, math.exp(min(r, 700.0)) if r > -math.inf else 0.0))
-    vals = [v for _, v in ratios]
-    if len(vals) < 8:
-        return Verdict.unknown("too few distinct sample indices in the window to read a trend")
-    half = len(vals) // 2
-    h1, h2 = vals[:half], vals[half:]
-    tail = vals[-max(1, len(vals) // 4):]
-    sup = max(vals)
-    diverging = (
-        vals[-1] >= settings.divergence_threshold
-        and all(h2[i + 1] >= h2[i] * 0.999 for i in range(len(h2) - 1))
-    )
-    if diverging:
-        return Verdict.no(
-            Certificate(
-                window=settings.window(),
-                note="sampled ratio climbs monotonically past the divergence threshold",
-                samples=tuple(ratios[-4:]),
-            )
-        )
-    bounded = max(tail) <= max(max(h1), 1e-300) * settings.bounded_slack
-    if not strict:
-        if bounded:
-            return Verdict.yes(
-                Witness(
-                    constant=rational_ceiling(settings.constant_factor * sup),
-                    window=settings.window(),
-                    note="sampled ratio shows no sustained growth",
-                )
-            )
-        return Verdict.unknown(
-            "sampled ratio still grows at the window end but has not crossed the divergence threshold"
-        )
-    if bounded and max(tail) < settings.vanishing_threshold:
-        return Verdict.yes(
-            Witness(
-                constant=rational_ceiling(settings.constant_factor * sup),
-                window=settings.window(),
-                note="sampled ratio falls below the vanishing threshold",
-            )
-        )
-    stabilized = (
-        bounded
-        and max(tail) >= settings.vanishing_threshold
-        and vals[-1] >= settings.flat_floor * max(h2)
-    )
-    if stabilized:
-        return Verdict.no(
-            Certificate(
-                window=settings.window(),
-                note="sampled ratio stabilizes above the vanishing threshold",
-                samples=tuple(ratios[-4:]),
-            )
-        )
-    return Verdict.unknown("sampled ratio trend is inconclusive over the window")
-
-
 def _decide(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings, mode: str) -> Verdict:
     if mode == "numeric":
-        return _numeric(a, b, strict=strict, settings=settings)
+        from .numeric import sampled_compare  # loaded only for the numeric fallback
+
+        return sampled_compare(a, b, strict, settings)
     if mode in ("auto", "symbolic"):
         return _symbolic(a, b, strict=strict, settings=settings)
     raise ValueError(f"unknown comparison mode: {mode!r}")

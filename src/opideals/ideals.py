@@ -34,7 +34,6 @@ from .compare import (
     big_o,
     certified_constant,
     little_o,
-    observed_constant,
 )
 from .growth import Profile, amp_class, class_big_o, min_ampliation_order, mul_class, profile, rate_class
 from .sequences import (
@@ -97,18 +96,24 @@ class SoftInterior(IdealDesc):
 
 @node("left", "right")
 class IdealProduct(IdealDesc):
+    """The product of two ideals: generated by the products of their members."""
+
     left: IdealDesc
     right: IdealDesc
 
 
 @node("left", "right")
 class IdealSum(IdealDesc):
+    """The sum of two ideals: the sums of a member of each."""
+
     left: IdealDesc
     right: IdealDesc
 
 
 @node("base")
 class IdealPower(IdealDesc):
+    """The product of ``exponent`` copies of the base ideal."""
+
     base: IdealDesc
     exponent: int
 
@@ -246,7 +251,9 @@ def _member_order(eta: SeqExpr, red: IdealDesc) -> int | None:
 
 def _member_reduced(eta: SeqExpr, red: IdealDesc, settings: Settings, mode: str) -> Verdict:
     if mode == "numeric" and isinstance(red, (Principal, SoftInterior)):
-        return _member_numeric(eta, red.generator, isinstance(red, SoftInterior), settings)
+        from .numeric import sampled_member  # loaded only for the numeric fallback
+
+        return sampled_member(eta, red.generator, isinstance(red, SoftInterior), settings)
     m = _member_order(eta, red)
     if isinstance(red, ZeroIdeal):
         if m is not None:
@@ -277,25 +284,6 @@ def _member_reduced(eta: SeqExpr, red: IdealDesc, settings: Settings, mode: str)
     return Verdict.yes(
         Witness(m=m, constant=constant, window=(1, settings.window_hi), note="ampliated generator dominates")
     )
-
-
-def _member_numeric(eta: SeqExpr, gen: SeqExpr, strict: bool, settings: Settings) -> Verdict:
-    compare = little_o if strict else big_o
-    saw_unknown = False
-    last_no = None
-    for m in range(1, settings.grid_m + 1):
-        v = compare(eta, ampliate(gen, m), settings=settings, mode="numeric")
-        if v.is_yes:
-            w = v.witness
-            return Verdict.yes(Witness(m=m, constant=w.constant, window=w.window, note=w.note))
-        if v.is_unknown:
-            saw_unknown = True
-        else:
-            last_no = v
-    if saw_unknown:
-        return Verdict.unknown("numeric sampling left some ampliation orders undecided")
-    cert = last_no.certificate if last_no else Certificate(note="no ampliation order within the grid")
-    return Verdict.no(replace(cert, note=f"no ampliation order up to {settings.grid_m} dominates: {cert.note}"))
 
 
 def member(
@@ -510,7 +498,9 @@ def is_soft(
         return _finite_soft_result(s_expr)
     # s has infinite support; J = zero or finite rank would have failed membership
     if mode == "numeric":
-        return _soft_numeric(s_expr, red, settings)
+        from .numeric import sampled_soft  # loaded only for the numeric fallback
+
+        return sampled_soft(s_expr, red, settings)
     c = profile(s_expr).growth
     rate_one = "rate one: s/D_k s stays bounded below for every k, so no null witness exists"
     if isinstance(red, KH):
@@ -531,51 +521,3 @@ def is_soft(
     note = "rate below one: s/D_2 s decays like the square root of the rate, and a witness in J absorbs it"
     verdict = Verdict.yes(Witness(k=2, m=m, constant=constant, window=(1, settings.window_hi), note=note))
     return SoftnessResult(verdict=verdict, k=2, m=m, t_witness=t)
-
-
-def _soft_numeric(s_expr: SeqExpr, red: IdealDesc, settings: Settings) -> SoftnessResult:
-    """The witness grid of ``is_soft`` for numeric mode: sampled comparisons up to (grid_k, grid_m)."""
-    if isinstance(red, KH):
-        saw_unknown = None
-        for k in range(2, settings.grid_k + 1):
-            v = little_o(decimate(s_expr, k), s_expr, settings=settings, mode="numeric")
-            if v.is_yes:
-                t = _soft_t_for_compacts(s_expr, k)
-                constant = (
-                    observed_constant(s_expr, seq_product(ampliate(s_expr, k), t), settings)
-                    if t is not None
-                    else v.witness.constant
-                )
-                verdict = Verdict.yes(
-                    Witness(k=k, constant=constant, window=(1, settings.window_hi),
-                            note="decimated tail vanishes against the sequence")
-                )
-                return SoftnessResult(verdict=verdict, k=k, m=None, t_witness=t)
-            if v.is_unknown and saw_unknown is None:
-                saw_unknown = v.reason
-        if saw_unknown is not None:
-            return SoftnessResult(verdict=Verdict.unknown(saw_unknown))
-        base = little_o(decimate(s_expr, 2), s_expr, settings=settings, mode="numeric")
-        return _soft_no(f"no decimation step up to {settings.grid_k} vanishes", base,
-                        "decimated tails stay comparable to the sequence")
-
-    gen, damped = red.generator, isinstance(red, SoftInterior)
-    saw_unknown = None
-    for k in range(1, settings.grid_k + 1):
-        for m in range(1, settings.grid_m + 1):
-            t = _generator_witness(gen, m, damped)
-            v = big_o(s_expr, seq_product(ampliate(s_expr, k), t), settings=settings, mode="numeric")
-            if v.is_yes:
-                verdict = Verdict.yes(
-                    Witness(k=k, m=m, constant=v.witness.constant, window=v.witness.window,
-                            note="structured witness: ampliated self times ampliated generator")
-                )
-                return SoftnessResult(verdict=verdict, k=k, m=m, t_witness=t)
-            if v.is_unknown and saw_unknown is None:
-                saw_unknown = v.reason
-    if saw_unknown is not None:
-        return SoftnessResult(verdict=Verdict.unknown(saw_unknown))
-    base = big_o(s_expr, seq_product(ampliate(s_expr, 2), _generator_witness(gen, 1, damped)),
-                 settings=settings, mode="numeric")
-    return _soft_no(f"no structured witness within the {settings.grid_k}x{settings.grid_m} grid", base,
-                    "no structured witness dominates")

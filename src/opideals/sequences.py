@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -54,15 +54,34 @@ def as_fraction(x: RationalLike, what: str = "value") -> Fraction:
 class Node:
     """Base of every expression node: the sequences here, the ideal descriptions in ``ideals``.
 
+    Nodes are frozen: assigning or deleting an attribute raises
+    ``FrozenInstanceError`` (an ``AttributeError``), so only
+    ``object.__setattr__`` writes a field or a memo slot.  ``pickle`` and
+    ``copy`` restore the fields that way too, from a state that holds the
+    fields only.
+
     ``==``, ``hash`` and ``repr`` never recurse.  ``==`` compares each
     distinct pair of nodes once, with a stack; ``hash`` is a ``fold`` that
     hashes each distinct node once per call, from its children's hashes and
     its other fields, and keeps nothing on the node; ``repr`` is the kind
     and the canonical text.  Memo slots are not fields, so none of them
-    enters ``==``, ``hash`` or ``repr``.
+    enters ``==``, ``hash``, ``repr`` or the pickled state.
     """
 
     __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return [getattr(self, name) for name in self.__match_args__]
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__match_args__, state):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -109,13 +128,29 @@ _HASH: dict[type, Callable[..., int]] = {}
 
 
 def node(*children: str):
-    """Class decorator of a node kind: a frozen slotted dataclass whose fields ``children`` are its fold children.
+    """Class decorator of a node kind: a slotted dataclass whose fields ``children`` are its fold children.
 
     ``fold`` does not enter a node held by another field (an ideal's generator).
+
+    ``dataclass`` only records the fields, their ``__match_args__`` and the
+    slots; it generates no method.  The one generated method is ``__init__``,
+    which writes each field with ``object.__setattr__`` (``Node`` refuses any
+    other write) and then calls ``__post_init__`` if the kind has one.
     """
 
     def make(cls):
-        cls = dataclass(frozen=True, slots=True, eq=False, repr=False)(cls)
+        names = list(cls.__dict__.get("__annotations__", {}))
+        defaults = [cls.__dict__[name] for name in names if name in cls.__dict__]
+        body = [f"    _set(self, {name!r}, {name})" for name in names]
+        if hasattr(cls, "__post_init__"):
+            body.append("    self.__post_init__()")
+        namespace = {"_set": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(names)}):\n" + "\n".join(body or ["    pass"]), namespace)
+        init = namespace["__init__"]
+        init.__defaults__ = tuple(defaults) or None
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+        cls = dataclass(init=False, slots=True, eq=False, repr=False)(cls)
         if not children:
             _CHILDREN[cls] = lambda e: ()
         elif len(children) == 1:
@@ -184,6 +219,8 @@ class Finite(SeqExpr):
 
 @node("inner")
 class Scale(SeqExpr):
+    """n |-> factor * inner(n), with factor > 0."""
+
     factor: Fraction
     inner: SeqExpr
 
@@ -218,18 +255,24 @@ class Decimate(SeqExpr):
 
 @node("left", "right")
 class Sum(SeqExpr):
+    """n |-> left(n) + right(n)."""
+
     left: SeqExpr
     right: SeqExpr
 
 
 @node("left", "right")
 class Max(SeqExpr):
+    """n |-> max(left(n), right(n))."""
+
     left: SeqExpr
     right: SeqExpr
 
 
 @node("left", "right")
 class Product(SeqExpr):
+    """n |-> left(n) * right(n)."""
+
     left: SeqExpr
     right: SeqExpr
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import opideals as op
-from opideals import compare, ideals, oracle
+from opideals import compare, ideals, numeric, oracle
 from opideals.compare import Settings, big_o
 from opideals.growth import amp_class, class_big_o, class_little_o, min_ampliation_order, profile
 from opideals.ideals import (
@@ -458,7 +458,7 @@ def _count_constants(monkeypatch) -> list:
 
     for module in (compare, ideals):
         monkeypatch.setattr(module, "certified_constant", counting)
-        monkeypatch.setattr(module, "observed_constant", sampled)
+    monkeypatch.setattr(numeric, "observed_constant", sampled)  # the one caller of a sampled constant is there
     return calls
 
 
