@@ -6,7 +6,9 @@ coordinates that characterize an operator ideal.  All values are immutable
 and all operations are pure, so everything here is safe to share across
 threads.  The only writes, an expression node memoising its own profile and
 log envelope, store the same value whichever thread makes them; a node's
-hash is computed afresh on each call and kept nowhere.
+profile memo may be the very (frozen) ``Profile`` object of one of its
+children, which no one ever writes to.  A node's hash is computed afresh on
+each call and kept nowhere.
 
 Importing the package loads the layers every question uses: ``sequences``,
 ``growth``, ``envelope``, ``compare``, ``ideals`` and ``grammar``.  The

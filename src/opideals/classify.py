@@ -26,11 +26,12 @@ from .ideals import (
     Principal,
     SoftInterior,
     SoftnessResult,
-    ideal_equal,
+    _equal_reduced,
+    _member_reduced,
+    _require_member_reduced,
+    _soft_reduced,
     is_soft,
-    member,
     reduce_ideal,
-    require_member,
 )
 from .sequences import SeqExpr, power_log, seq_product, seq_sum, support
 
@@ -83,10 +84,11 @@ def classify_principal(
     The members-of-J precondition is enforced.  A soft generator collapses
     the entire chain onto the principal ideal (S); a non-soft one makes the
     last four positions pairwise strict and leaves only the innermost link
-    to a dedicated probe.
+    to a dedicated probe.  J is reduced, and S checked against it, once.
     """
-    require_member(s_expr, ideal, "classification needs S in J; membership verdict", settings=settings, mode=mode)
-    softness = is_soft(s_expr, ideal, settings=settings, mode=mode)
+    red = reduce_ideal(ideal)
+    _require_member_reduced(s_expr, red, "classification needs S in J; membership verdict", settings, mode)
+    softness = _soft_reduced(s_expr, red, settings, mode)
     verdict = softness.verdict
     collapse: IdealDesc | None = None
     if verdict.is_yes:
@@ -94,7 +96,7 @@ def classify_principal(
         relations = [EQUAL] * 5
         bh = Verdict.yes(verdict.witness)
     else:
-        probe = probe_chain_link(s_expr, ideal, settings=settings, mode=mode)
+        probe = _probe_reduced(s_expr, red, settings, mode)
         first = EQUAL if probe.is_yes else STRICT if probe.is_no else UNKNOWN
         # S = AS + SB + sum A_i S B_i would make (S) soft, so the second link
         # is strict exactly when softness fails
@@ -125,8 +127,9 @@ def classify_finitely_generated(
     gens = tuple(generators)
     if not gens:
         raise PreconditionError("at least one generator is required")
+    red = reduce_ideal(ideal)
     for g in gens:
-        require_member(g, ideal, "every generator must lie in J; a membership verdict", settings=settings, mode=mode)
+        _require_member_reduced(g, red, "every generator must lie in J; a membership verdict", settings, mode)
     combined = gens[0]
     for g in gens[1:]:
         combined = seq_sum(combined, g)
@@ -176,10 +179,15 @@ def probe_chain_link(
     canonical witness gen(J)*S escapes the reduced J(S)J; Unknown when
     neither test is conclusive.
     """
-    require_member(s_expr, ideal, "the chain probe needs S in J; membership verdict", settings=settings, mode=mode)
     red = reduce_ideal(ideal)
+    _require_member_reduced(s_expr, red, "the chain probe needs S in J; membership verdict", settings, mode)
+    return _probe_reduced(s_expr, red, settings, mode)
+
+
+def _probe_reduced(s_expr: SeqExpr, red: IdealDesc, settings: Settings, mode: str) -> Verdict:
+    """``probe_chain_link`` for S already known to lie in J, given in reduced form."""
     squared = reduce_ideal(IdealProduct(red, red))
-    idem = ideal_equal(red, squared, settings=settings, mode=mode)
+    idem = _equal_reduced(red, squared, settings, mode)
     if idem.is_yes:
         return Verdict.yes(Witness(note="J is idempotent, so JS and SJ lie inside J(S)J"))
     gen = _ideal_witness_sequence(red)
@@ -187,7 +195,7 @@ def probe_chain_link(
         return Verdict.unknown("no canonical witness sequence for this ideal form")
     witness_seq = seq_product(gen, s_expr)
     nucleus = reduce_ideal(IdealProduct(red, IdealProduct(Principal(s_expr), red)))
-    inside = member(witness_seq, nucleus, settings=settings, mode=mode)
+    inside = _member_reduced(witness_seq, nucleus, settings, mode)
     if inside.is_no:
         from .grammar import render_seq
 

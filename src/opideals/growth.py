@@ -125,10 +125,19 @@ def class_little_o(a: GrowthClass, b: GrowthClass) -> bool:
 
 
 def _power_log_dominated(a: GrowthClass, b: GrowthClass, strict: bool) -> bool:
-    """Domination of a by b (o when strict, else O) for classes of equal rate."""
-    if a.power != b.power:
-        return a.power > b.power
-    return a.logpower > b.logpower if strict else a.logpower >= b.logpower
+    """Domination of a by b (o when strict, else O) for classes of equal rate.
+
+    The exponents are compared by cross-multiplying numerators and
+    denominators (a denominator is always positive), which answers as
+    ``Fraction`` comparison does without its generic operator dispatch.
+    """
+    x, y = a.power, b.power
+    u, v = x.numerator * y.denominator, y.numerator * x.denominator
+    if u != v:
+        return u > v
+    x, y = a.logpower, b.logpower
+    u, v = x.numerator * y.denominator, y.numerator * x.denominator
+    return u > v if strict else u >= v
 
 
 def amp_class(c: GrowthClass, m: int) -> GrowthClass:
@@ -165,6 +174,13 @@ def profile(e: SeqExpr) -> Profile:
     A global cache keyed by the tree would hash the tree on every lookup,
     compare it on a hit, and keep every tree it has seen alive; the memo on
     the node costs none of that and dies with it.
+
+    A node whose profile equals a child's shares the child's frozen
+    ``Profile`` object instead of a copy: a scale always, a sum or max its
+    dominant child's, an ampliation or decimation whose class does not
+    change (order or step 1, or rate one) its child's, a product with a
+    finite side the one of the smaller support.  So a chain of such nodes
+    holds one ``Profile`` per distinct class, not one per node.
     """
     try:
         return e._profile
@@ -174,31 +190,36 @@ def profile(e: SeqExpr) -> Profile:
 
 def _ampliate_profile(e: Ampliate, p: Profile) -> Profile:
     if p.support is not None:
-        return Profile(e.order * p.support, None)
-    return Profile(None, amp_class(p.growth, e.order))
+        return p if e.order == 1 else Profile(e.order * p.support, None)
+    c = amp_class(p.growth, e.order)
+    return p if c is p.growth else Profile(None, c)  # an unchanged class shares the child's Profile
 
 
 def _decimate_profile(e: Decimate, p: Profile) -> Profile:
     if p.support is not None:
-        return Profile(p.support // e.step, None)
-    return Profile(None, dec_class(p.growth, e.step))
+        return p if e.step == 1 else Profile(p.support // e.step, None)
+    c = dec_class(p.growth, e.step)
+    return p if c is p.growth else Profile(None, c)
 
 
 def _join_profile(e: Sum | Max, pa: Profile, pb: Profile) -> Profile:
+    """The profile of the child that dominates, itself (not a copy): the right one on a tie."""
     if pa.support is not None and pb.support is not None:
-        return Profile(max(pa.support, pb.support), None)
+        return pa if pa.support > pb.support else pb
     if pa.support is not None:
         return pb
     if pb.support is not None:
         return pa
     # the classes are totally ordered: the one that decays more slowly
-    return Profile(None, pb.growth if class_big_o(pa.growth, pb.growth) else pa.growth)
+    return pb if class_big_o(pa.growth, pb.growth) else pa
 
 
 def _product_profile(e: Product, pa: Profile, pb: Profile) -> Profile:
     if pa.support is None and pb.support is None:
         return Profile(None, mul_class(pa.growth, pb.growth))
-    return Profile(min(s for s in (pa.support, pb.support) if s is not None), None)
+    if pa.support is None or (pb.support is not None and pb.support < pa.support):
+        return pb  # the smaller support, shared
+    return pa
 
 
 # node type -> the profile of such a node, from its children's profiles

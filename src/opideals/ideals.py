@@ -316,10 +316,15 @@ def require_member(
     The symbolic path decides membership exactly and samples no witness
     constant, since a precondition discards it; numeric mode asks ``member``.
     """
+    _require_member_reduced(eta, reduce_ideal(ideal), what, settings, mode)
+
+
+def _require_member_reduced(eta: SeqExpr, red: IdealDesc, what: str, settings: Settings, mode: str) -> None:
+    """``require_member`` against an ideal already in reduced form."""
     if mode == "numeric":
-        outcome = member(eta, ideal, settings=settings, mode=mode).outcome
+        outcome = _member_reduced(eta, red, settings, mode).outcome
     else:
-        outcome = Outcome.YES if _member_order(eta, reduce_ideal(ideal)) is not None else Outcome.NO
+        outcome = Outcome.YES if _member_order(eta, red) is not None else Outcome.NO
     if outcome is not Outcome.YES:
         raise PreconditionError(f"{what} was {outcome.value}")
 
@@ -336,7 +341,11 @@ def ideal_equal(
     Yes verdicts pair the two inclusion witnesses; No verdicts name the
     failing direction and exhibit a separating sequence when one is handy.
     """
-    a, b = reduce_ideal(left), reduce_ideal(right)
+    return _equal_reduced(reduce_ideal(left), reduce_ideal(right), settings, mode)
+
+
+def _equal_reduced(a: IdealDesc, b: IdealDesc, settings: Settings, mode: str) -> Verdict:
+    """``ideal_equal`` on two ideals already in reduced form."""
     if type(a) is type(b) and not isinstance(a, (Principal, SoftInterior)):
         return Verdict.yes(Witness(note=f"identical reduced forms ({a.__class__.__name__})"))
 
@@ -489,11 +498,15 @@ def is_soft(
     the settings (k up to ``grid_k``, m up to ``grid_m``) with sampled
     comparisons.
     """
-    require_member(
-        s_expr, ideal, "softness of (S) in J is only defined for S in J; membership verdict",
-        settings=settings, mode=mode,
-    )
     red = reduce_ideal(ideal)
+    _require_member_reduced(
+        s_expr, red, "softness of (S) in J is only defined for S in J; membership verdict", settings, mode
+    )
+    return _soft_reduced(s_expr, red, settings, mode)
+
+
+def _soft_reduced(s_expr: SeqExpr, red: IdealDesc, settings: Settings, mode: str) -> SoftnessResult:
+    """``is_soft`` for S already known to lie in J, given in reduced form."""
     if support(s_expr) is not None:
         return _finite_soft_result(s_expr)
     # s has infinite support; J = zero or finite rank would have failed membership

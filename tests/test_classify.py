@@ -175,3 +175,48 @@ def test_numeric_mode_through_high_level_operations():
         Principal(G2), Principal(op.geometric(Fraction(1, 4))), mode="numeric"
     ).is_yes
     assert two_generator_principality(P1, P1, KH(), mode="numeric").is_no
+
+
+def test_each_question_reduces_j_and_checks_s_once(monkeypatch):
+    from opideals import classify, ideals
+
+    reduced, checked = [], []
+    reduce_ideal, member_order = ideals.reduce_ideal, ideals._member_order
+
+    def counting_reduce(desc):
+        reduced.append(desc)
+        return reduce_ideal(desc)
+
+    def counting_order(eta, red):
+        checked.append(eta)
+        return member_order(eta, red)
+
+    monkeypatch.setattr(ideals, "reduce_ideal", counting_reduce)
+    monkeypatch.setattr(classify, "reduce_ideal", counting_reduce)
+    monkeypatch.setattr(ideals, "_member_order", counting_order)
+    # non-soft S (so the probe runs too) and a soft one; J reduced or not, S never J's generator itself
+    cases = ((op.power_log(2), Principal(P1)), (op.power_log(1), KH()),
+             (op.power_log(2), IdealProduct(Principal(P1), KH())), (op.geometric(Fraction(1, 3)), Principal(P1)),
+             (op.power_log(3), IdealProduct(Principal(op.power_log(1)), Principal(op.power_log(1)))))
+    for question in (classify_principal, op.is_soft, probe_chain_link):
+        for s, ideal in cases:
+            reduced.clear()
+            checked.clear()
+            question(s, ideal)
+            assert sum(desc is ideal for desc in reduced) == 1, (question.__name__, s, ideal)
+            assert sum(eta is s for eta in checked) == 1, (question.__name__, s, ideal)
+
+
+def test_s_outside_j_keeps_its_messages_in_both_modes():
+    outside = {"auto": [(P1, Principal(G2), "no"), (P1, op.FH(), "no"), (P1, op.ZeroIdeal(), "no")],
+               "numeric": [(P1, Principal(G2), "no"), (P1, op.FH(), "no"), (P1, op.ZeroIdeal(), "no"),
+                           (op.power_log(1, 1), IdealProduct(Principal(P1), KH()), "unknown")]}
+    questions = ((classify_principal, "classification needs S in J; membership verdict"),
+                 (op.is_soft, "softness of (S) in J is only defined for S in J; membership verdict"),
+                 (probe_chain_link, "the chain probe needs S in J; membership verdict"))
+    for mode, cases in outside.items():
+        for s, ideal, outcome in cases:
+            for question, what in questions:
+                with pytest.raises(PreconditionError) as info:
+                    question(s, ideal, mode=mode)
+                assert str(info.value) == f"{what} was {outcome}"

@@ -503,3 +503,26 @@ def test_preconditions_keep_their_messages():
         op.probe_chain_link(P1, Principal(G2))
     with pytest.raises(PreconditionError, match="product ideal; verdict was no"):
         oracle.verify_product_split(P1, Principal(P1), Principal(P1), n_max=100)
+
+
+def test_ideal_equal_no_names_a_compact_sequence_outside_the_generator(rng):
+    """The No of ideal_equal(KH, J) names a sequence in K(H) that lies outside (g)."""
+    gens = [random_expr(rng) for _ in range(150)]
+    # log-type generators (power zero), which the random corpus never draws
+    gens += [op.power_log(0, q) for q in (Fraction(1, 2), Fraction(1), Fraction(3))]
+    gens += [op.seq_product(op.power_log(0, 1), op.power_log(0, 2)), op.ampliate(op.power_log(0, 1), 3)]
+    checked = 0
+    for g in gens:
+        for ideal in (Principal(g), IdealProduct(Principal(g), KH())):
+            red = reduce_ideal(ideal)
+            if not isinstance(red, (Principal, SoftInterior)):
+                continue
+            v = ideal_equal(KH(), ideal)
+            assert v.is_no
+            named = v.certificate.note.partition("compact sequence ")[2].partition(" escapes every ampliation")[0]
+            sep = op.parse_seq(named)
+            assert sep == ideals._strictly_slower_seq(red.generator)
+            assert member(sep, KH()).is_yes
+            assert member(sep, Principal(red.generator)).is_no, (op.render_seq(g), named)
+            checked += 1
+    assert checked > 200

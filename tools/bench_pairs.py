@@ -3,7 +3,7 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --topic NAME --title TEXT \\
         [--workloads cli-oneshot,compare-yes,deep-exact,softness] [--seeds 801-810] [--seconds S] \\
-        [--claim WORKLOAD:METRIC:FRACTION] [--startup-repeats N] [--host TEXT]
+        [--claim WORKLOAD:METRIC:FRACTION] [--startup-repeats N] [--in-process WORKLOAD:ROUNDS,...] [--host TEXT]
 
 Each checkout is a directory holding ``src/``, ``perfbench/`` and
 ``BENCHMARK.json`` (a ``git clone`` or ``git archive`` of a commit).  The
@@ -29,10 +29,20 @@ parent's quartile distance.
 The start-up section (``--startup-repeats`` alternating rounds, 0 to skip)
 times, per side, a bare interpreter (``python3 -c pass``, the metric
 ``host.startup_ms``), ``python3 -c "import opideals.cli"``, and the self time
-of each ``opideals`` module under ``-X importtime``.  The file, at the root
-of the checkout that holds this script, is rewritten after every workload,
-so an interrupted run keeps what it measured.  Needs the standard library
-only.
+of each ``opideals`` module under ``-X importtime``.
+
+The in-process section (``--in-process``, one WORKLOAD:ROUNDS entry per
+library workload to time) times the workloads' question lists without the
+benchmark's set-up, import and memory probes around them: per seed, each
+side runs one fresh interpreter that builds the workload's list with
+ROUNDS rounds from the checkout's ``perfbench/workloads.py``, asks its
+warm-up questions and times the rest in one loop, in the same alternating
+order.  Its metric is ``verdicts_per_s``, compared like the end-to-end
+metrics.
+
+The file, at the root of the checkout that holds this script, is rewritten
+after every workload, so an interrupted run keeps what it measured.  Needs
+the standard library only.
 """
 
 from __future__ import annotations
@@ -116,6 +126,49 @@ def measure_workload(sides: dict, workload: str, seeds: list[int], seconds: int,
     }
 
 
+# one in-process run: argv is the checkout, the workload, the seed and the number of rounds
+IN_PROCESS_CHILD = """
+import json, sys, time
+root, workload, seed, rounds = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+sys.path[:0] = [root + "/src", root + "/perfbench"]
+import workloads as wl
+plan = wl.LIBRARY_WORKLOADS[workload](seed, rounds)
+for q in plan.warmup:
+    try:
+        q.ask()
+    except Exception:
+        pass
+answers, clock = [], time.perf_counter
+start = clock()
+for q in plan.timed:
+    try:
+        answers.append(q.ask())
+    except Exception as exc:
+        answers.append(wl.Raised(exc))
+wall = clock() - start
+failed = sum(not wl.passes(q, a) for q, a in zip(plan.timed, answers))
+print(json.dumps({"attempted": len(plan.timed), "failed": failed, "wall_s": wall}))
+"""
+
+
+def measure_in_process(sides: dict, workload: str, seeds: list[int], rounds: int, metric: dict) -> dict:
+    runs = {side: [] for side in SIDES}
+    for i, seed in enumerate(seeds):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            argv = [sys.executable, "-c", IN_PROCESS_CHILD, str(sides[side]), workload, str(seed), str(rounds)]
+            proc = subprocess.run(argv, capture_output=True, text=True, check=True)
+            runs[side].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    rates = {side: [r["attempted"] / r["wall_s"] for r in runs[side]] for side in SIDES}
+    return {
+        "pairs": len(seeds),
+        "rounds": rounds,
+        "verdicts_per_s": {**compare_metric(rates["parent"], rates["change"], "higher", metric["bound"]),
+                           "runs": {side: [round(v, 2) for v in rates[side]] for side in SIDES}},
+        "failed_per_run": {side: [r["failed"] for r in runs[side]] for side in SIDES},
+        "attempted": [r["attempted"] for r in runs["parent"]],
+    }
+
+
 def _wall_ms(argv: list[str], env: dict) -> float:
     start = time.perf_counter()
     subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -194,6 +247,7 @@ def parse_args(argv):
     p.add_argument("--seconds", type=int, default=None, help="run length; default: run_seconds of BENCHMARK.json")
     p.add_argument("--claim", default=None, help="WORKLOAD:METRIC:FRACTION")
     p.add_argument("--startup-repeats", type=int, default=15)
+    p.add_argument("--in-process", default="", help="WORKLOAD:ROUNDS,... of library workloads to time in-process")
     p.add_argument("--host", default="", help="a note on the host")
     return p.parse_args(argv)
 
@@ -226,6 +280,13 @@ def main(argv=None) -> int:
         if args.claim and args.claim.split(":")[0] in doc["per_workload"]:
             doc["claim"] = claim_summary(args.claim, doc["per_workload"], metrics)
         write()
+    if args.in_process:
+        metric = next(m for m in metrics if m["name"] == "verdicts_per_s")
+        doc["in_process"] = {}
+        for entry in args.in_process.split(","):
+            workload, rounds = entry.split(":")
+            doc["in_process"][workload] = measure_in_process(sides, workload, args.seeds, int(rounds), metric)
+            write()
     print(out)
     return 0
 
