@@ -134,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
         checks[name].add_argument("--n", type=_positive(int), default=n_default, help=n_help)
     checks["divergence"].add_argument("--threshold", type=float, default=1e3)
     for p in (*commands.values(), *checks.values()):
-        p.add_argument("--window", type=_parse_window, default=None, help="sampling window N0:N1")
+        p.add_argument("--window", type=_parse_window, default=None,
+                       help="sampling window N0:N1 of --numeric answers (a symbolic Yes echoes its end)")
         p.add_argument("--tol", type=_positive(float), default=None, help="numeric tolerance / vanishing threshold")
         p.add_argument("--grid", type=_parse_grid, default=None,
                        help="witness search bounds K_MAX,M_MAX of --numeric and oracle split (symbolic needs none)")

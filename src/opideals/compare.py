@@ -1,9 +1,10 @@
 """Three-valued big-O / little-o comparison of sequence expressions.
 
 The symbolic path decides every comparison inside the grammar exactly, via
-the total order on growth classes, and is never Unknown.  A numeric
-fallback (``mode="numeric"``, in ``opideals.numeric``) samples the ratio
-a_n/b_n on a geometric index grid; numeric evidence can never prove an
+the total order on growth classes, and is never Unknown; a No names the two
+classes that prove it (``growth.render_class``) and samples nothing.  A
+numeric fallback (``mode="numeric"``, in ``opideals.numeric``) samples the
+ratio a_n/b_n on a geometric index grid; numeric evidence can never prove an
 asymptotic statement, so the fallback answers Yes/No only on unambiguous
 trends and returns Unknown otherwise.  Its sampled constants,
 ``observed_supremum``, ``observed_constant`` and ``rational_ceiling``, are
@@ -19,8 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .envelope import constant_from_log, log_sup_ratio
-from .growth import class_big_o, class_little_o, profile
-from .sequences import SeqExpr, eval_log_many
+from .growth import class_big_o, class_little_o, profile, render_class
+from .sequences import SeqExpr
 
 
 class Outcome(str, Enum):
@@ -42,7 +43,7 @@ class Witness:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Evidence attached to a No verdict: where and how the bound fails."""
+    """Evidence attached to a No verdict: where and how the bound fails; only a numeric No has samples."""
 
     window: tuple[int, int] | None = None
     note: str = ""
@@ -129,8 +130,7 @@ class Settings:
 DEFAULT_SETTINGS = Settings()
 
 
-# the index grid and the ratio logs stay here: the tail samples of a symbolic
-# No (``_tail_samples``) and the oracle use them, as well as opideals.numeric
+# the index grid of the numeric fallback and the oracle; the symbolic path samples nothing
 def sample_indices(lo: int, hi: int, count: int) -> list[int]:
     """About ``count`` integers spread geometrically over [lo, hi], sorted, ending at hi."""
     return list(_sample_indices(lo, hi, count))
@@ -138,8 +138,7 @@ def sample_indices(lo: int, hi: int, count: int) -> list[int]:
 
 @lru_cache(maxsize=32)
 def _sample_indices(lo: int, hi: int, count: int) -> tuple[int, ...]:
-    # every witness constant and every No certificate asks for the same few
-    # (lo, hi, count), so the list is built once per key
+    # sampled constants and comparisons ask for the same few (lo, hi, count), so the list is built once per key
     if hi < lo:
         lo, hi = hi, lo
     if lo < 1:
@@ -154,17 +153,6 @@ def _sample_indices(lo: int, hi: int, count: int) -> tuple[int, ...]:
         x *= ratio
     out.add(hi)
     return tuple(sorted(out))
-
-
-def _ratio_logs(a: SeqExpr, b: SeqExpr, ns: list[int], both_zero: float) -> list[float]:
-    """log(a_n / b_n) for every n in ns; ``both_zero`` supplies the 0/0 convention.
-
-    Each side is walked once for the whole index list.
-    """
-    return [
-        la - lb if lb > -math.inf else (both_zero if la == -math.inf else math.inf)
-        for la, lb in zip(eval_log_many(a, ns), eval_log_many(b, ns))
-    ]
 
 
 # the sampled constants of the numeric fallback, served from opideals.numeric,
@@ -188,12 +176,6 @@ def certified_constant(a: SeqExpr, b: SeqExpr, settings: Settings) -> Fraction:
     return constant_from_log(log_sup_ratio(a, b) + math.log(settings.constant_factor))
 
 
-def _tail_samples(a: SeqExpr, b: SeqExpr, settings: Settings, count: int = 4) -> tuple:
-    ns = sample_indices(settings.window_lo, settings.window_hi, settings.sample_count)[-count:]
-    rs = _ratio_logs(a, b, ns, both_zero=0.0)
-    return tuple((n, math.exp(min(r, 700.0)) if r > -math.inf else 0.0) for n, r in zip(ns, rs))
-
-
 def _finite_supports(a: SeqExpr, b: SeqExpr, sa: int, sb: int, strict: bool, settings: Settings) -> Verdict:
     """Both sides finitely supported (sizes sa, sb): decided by the supports.
 
@@ -202,12 +184,7 @@ def _finite_supports(a: SeqExpr, b: SeqExpr, sa: int, sb: int, strict: bool, set
     """
     if strict:
         # the tail ratio is 0/0, which never witnesses little-o
-        return Verdict.no(
-            Certificate(
-                window=(max(sa, sb), settings.window_hi),
-                note="both sides are finitely supported; the ratio does not vanish",
-            )
-        )
+        return Verdict.no(Certificate(note="both sides are finitely supported; the ratio does not vanish"))
     if sa > sb:
         return Verdict.no(Certificate(window=(sb + 1, sa), note="left support exceeds right support"))
     return Verdict.yes(
@@ -226,12 +203,8 @@ def _symbolic(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings) -> Verdi
         return Verdict.yes(Witness(constant=Fraction(1), window=window, note="left side is zero"))
     if pb.support is not None:
         if pa.support is None:
-            return Verdict.no(
-                Certificate(
-                    window=(pb.support + 1, pb.support + 2),
-                    note="right side vanishes beyond its support while the left side stays positive",
-                )
-            )
+            note = "right side vanishes beyond its support while the left side stays positive"
+            return Verdict.no(Certificate(window=(pb.support + 1, pb.support + 2), note=note))
         return _finite_supports(a, b, pa.support, pb.support, strict, settings)
     if pa.support is not None:
         if strict:
@@ -254,14 +227,10 @@ def _symbolic(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings) -> Verdi
         return Verdict.yes(
             Witness(constant=certified_constant(a, b, settings), window=window, note="growth-class domination")
         )
+    # the classes are totally ordered, so the two classes alone prove the No
     kind = "does not vanish" if strict and class_big_o(pa.growth, pb.growth) else "grows without bound"
-    return Verdict.no(
-        Certificate(
-            window=settings.window(),
-            note=f"growth classes refute the bound: the ratio {kind}",
-            samples=_tail_samples(a, b, settings),
-        )
-    )
+    classes = f"left class {render_class(pa.growth)}, right class {render_class(pb.growth)}"
+    return Verdict.no(Certificate(note=f"growth classes refute the bound: the ratio {kind}: {classes}"))
 
 
 def _decide(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings, mode: str) -> Verdict:

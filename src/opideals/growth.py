@@ -81,6 +81,21 @@ class Profile:
         return self.support == 0
 
 
+def render_class(c: GrowthClass) -> str:
+    """Canonical text of a class, as in ``(1/2)^(n/3) n^-1 log(n+1)^-2``; ``1`` for the constants.
+
+    A rate pair (r, k/d) is ``(r)^(kn/d)``, k and d left out when 1; a fractional exponent reads ``n^(-3/2)``.
+    """
+    parts = []
+    for r, e in c.rate:
+        k, d = ("" if e.numerator == 1 else e.numerator), ("" if e.denominator == 1 else f"/{e.denominator}")
+        parts.append(f"({r})^n" if e == 1 else f"({r})^({k}n{d})")
+    for base, x in (("n", -c.power), ("log(n+1)", -c.logpower)):
+        if x:
+            parts.append(f"{base}^{x}" if x.denominator == 1 else f"{base}^({x})")
+    return " ".join(parts) or "1"
+
+
 def rate_cmp(a: GrowthClass, b: GrowthClass) -> int:
     """Compare the rates of a and b exactly: the sign of log rate(a) - log rate(b)."""
     if a.rate == b.rate:

@@ -35,7 +35,16 @@ from .compare import (
     certified_constant,
     little_o,
 )
-from .growth import Profile, amp_class, class_big_o, min_ampliation_order, mul_class, profile, rate_class
+from .growth import (
+    Profile,
+    amp_class,
+    class_big_o,
+    min_ampliation_order,
+    mul_class,
+    profile,
+    rate_class,
+    render_class,
+)
 from .sequences import (
     Node,
     SeqExpr,
@@ -270,8 +279,8 @@ def _member_reduced(eta: SeqExpr, red: IdealDesc, settings: Settings, mode: str)
     gen = red.generator
     strict = isinstance(red, SoftInterior)
     if m is None:
-        compare = little_o if strict else big_o
-        base = compare(eta, ampliate(gen, 1), settings=settings)
+        # no order works, so the comparison with the generator is a No, which names both classes
+        base = (little_o if strict else big_o)(eta, gen, settings=settings)
         note = (
             "the sequence never vanishes against an ampliated generator"
             if strict
@@ -445,12 +454,6 @@ def _generator_witness(gen: SeqExpr, m: int, damped: bool) -> SeqExpr:
     return seq_product(t, power_log(0, 1)) if damped else t
 
 
-def _soft_no(note: str, base: Verdict, fallback: str) -> SoftnessResult:
-    """A No whose certificate is the one of the comparison ``base`` (window and tail samples)."""
-    cert = base.certificate or Certificate(note=fallback)
-    return SoftnessResult(verdict=Verdict.no(replace(cert, note=f"{note}: {cert.note}")))
-
-
 def is_soft(
     s_expr: SeqExpr,
     ideal: IdealDesc,
@@ -492,8 +495,8 @@ def is_soft(
         has rate one, or rate rho_g^(1/m) -> 1, which eventually beats
         rho^(1/2) < 1.
 
-    A Yes carries one certified witness constant, for s against D_2 s * t; a No carries
-    the certificate (window and tail samples) of one comparison at k = 2.
+    A Yes carries one certified witness constant, for s against D_2 s * t; a No names
+    the rate-one fact and the class of s, and samples nothing.
     With ``mode="numeric"`` the engine instead searches the witness grid of
     the settings (k up to ``grid_k``, m up to ``grid_m``) with sampled
     comparisons.
@@ -515,18 +518,13 @@ def _soft_reduced(s_expr: SeqExpr, red: IdealDesc, settings: Settings, mode: str
 
         return sampled_soft(s_expr, red, settings)
     c = profile(s_expr).growth
-    rate_one = "rate one: s/D_k s stays bounded below for every k, so no null witness exists"
+    if c.rate_is_one:
+        note = "rate one: s/D_k s stays bounded below for every k, so no null witness exists"
+        return SoftnessResult(verdict=Verdict.no(Certificate(note=f"{note}: s has class {render_class(c)}")))
     if isinstance(red, KH):
-        if c.rate_is_one:
-            base = little_o(decimate(s_expr, 2), s_expr, settings=settings)
-            return _soft_no(rate_one, base, "decimated tails stay comparable to the sequence")
         m, t = None, _soft_t_for_compacts(s_expr, 2)
     else:
         gen, damped = red.generator, isinstance(red, SoftInterior)
-        if c.rate_is_one:
-            base = big_o(s_expr, seq_product(ampliate(s_expr, 2), _generator_witness(gen, 1, damped)),
-                         settings=settings)
-            return _soft_no(rate_one, base, "no structured witness dominates")
         quotient = Profile(None, amp_class(rate_class(c), 2))
         m = min_ampliation_order(quotient, profile(_generator_witness(gen, 1, damped)), strict=False)
         t = _generator_witness(gen, m, damped)

@@ -24,15 +24,25 @@ from .compare import (
     Verdict,
     Witness,
     _finite_supports,
-    _ratio_logs,
     _symbolic,
     big_o,
     little_o,
     sample_indices,
 )
 from .growth import profile
-from .ideals import IdealDesc, KH, SoftInterior, SoftnessResult, _generator_witness, _soft_no, _soft_t_for_compacts
-from .sequences import SeqExpr, ampliate, decimate, seq_product, support
+from .ideals import IdealDesc, KH, SoftInterior, SoftnessResult, _generator_witness, _soft_t_for_compacts
+from .sequences import SeqExpr, ampliate, decimate, eval_log_many, seq_product, support
+
+
+def _ratio_logs(a: SeqExpr, b: SeqExpr, ns: list[int], both_zero: float) -> list[float]:
+    """log(a_n / b_n) for every n in ns; ``both_zero`` supplies the 0/0 convention.
+
+    Each side is walked once for the whole index list.
+    """
+    return [
+        la - lb if lb > -math.inf else (both_zero if la == -math.inf else math.inf)
+        for la, lb in zip(eval_log_many(a, ns), eval_log_many(b, ns))
+    ]
 
 
 def observed_supremum(a: SeqExpr, b: SeqExpr, settings: Settings) -> float:
@@ -78,8 +88,6 @@ def observed_constant(a: SeqExpr, b: SeqExpr, settings: Settings) -> Fraction:
     return rational_ceiling(settings.constant_factor * max(sup, 1e-30))
 
 
-
-
 def sampled_compare(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings) -> Verdict:
     pa, pb = profile(a), profile(b)
     if pa.is_zero:
@@ -92,8 +100,11 @@ def sampled_compare(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings) ->
             )
         )
     if pb.support is not None:
-        # the sampled window starts past both supports, where the ratio is 0/0
-        return _finite_supports(a, b, pa.support, pb.support, strict, settings)
+        # the sampled window starts past both supports, where the ratio is 0/0; a No names that part
+        v = _finite_supports(a, b, pa.support, pb.support, strict, settings)
+        if strict:
+            v = Verdict.no(replace(v.certificate, window=(max(pa.support, pb.support), settings.window_hi)))
+        return v
     if pa.support is not None:
         # the window may start past the left support and sample only zeros
         return _symbolic(a, b, strict, settings)
@@ -161,8 +172,6 @@ def sampled_compare(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings) ->
     return Verdict.unknown("sampled ratio trend is inconclusive over the window")
 
 
-
-
 def sampled_member(eta: SeqExpr, gen: SeqExpr, strict: bool, settings: Settings) -> Verdict:
     compare = little_o if strict else big_o
     saw_unknown = False
@@ -182,6 +191,10 @@ def sampled_member(eta: SeqExpr, gen: SeqExpr, strict: bool, settings: Settings)
     return Verdict.no(replace(cert, note=f"no ampliation order up to {settings.grid_m} dominates: {cert.note}"))
 
 
+def _soft_no(note: str, base: Verdict, fallback: str) -> SoftnessResult:
+    """A No of the witness grid: the certificate of the sampled comparison ``base``, after ``note``."""
+    cert = base.certificate or Certificate(note=fallback)
+    return SoftnessResult(verdict=Verdict.no(replace(cert, note=f"{note}: {cert.note}")))
 
 
 def sampled_soft(s_expr: SeqExpr, red: IdealDesc, settings: Settings) -> SoftnessResult:

@@ -515,10 +515,10 @@ _BINARY = frozenset((Sum, Max, Product))
 def _log_columns(ns: tuple[int, ...]) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """log(n) and log(log(n+1)) per index: the two columns of every power/log atom.
 
-    Cached across calls because witness constants sample every question on
-    the same few index lists (the head 1..1024 plus the window samples, and
-    their images under ampliation and decimation), and these logs are most of
-    a power/log atom's cost.  A memo local to one call saves nothing.
+    Cached across calls because the numeric fallback and the oracle sample every question on
+    the same few index lists (the head 1..1024 plus the window's geometric grid, and their
+    images under ampliation and decimation), and these logs are most of a power/log atom's
+    cost.  A memo local to one call saves nothing.
     """
     return tuple(map(math.log, ns)), tuple([math.log(math.log(n + 1.0)) for n in ns])
 

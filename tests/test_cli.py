@@ -274,3 +274,10 @@ def test_seeded_fuzz_ends_in_a_verdict_or_one_error_line(capsys):
             assert "Traceback" not in out + err, what
             assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), what
             assert spent < 2.0, what
+
+
+def test_a_no_against_a_huge_power_prints_its_classes_not_a_capped_ratio(capsys):
+    code, out, _ = run(capsys, "member", "pow(2)", "pow(prin(geo(1/2)),1000000000)")
+    assert code == 0 and "verdict: no" in out
+    assert "ratio(" not in out and "e+304" not in out
+    assert out.rstrip().endswith("left class n^-2, right class (1/2)^(1000000000n)")

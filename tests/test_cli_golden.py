@@ -1,7 +1,7 @@
 """Exact CLI output: stdout, stderr and exit code of recorded invocations.
 
 ``cli_golden.json`` holds one question per command and per oracle check, in
-text and in ``--json`` form, a No with evidence, a ``--numeric`` Unknown
+text and in ``--json`` form, a No with its two classes, a ``--numeric`` Unknown
 (exit 2) and two usage errors (exit 1).  Any difference from it is a change
 of the CLI's output, which the ``opideals-report/1`` schema and the text
 format promise to keep.

@@ -4,11 +4,14 @@ sympy computes lim a(n)/b(n) by an entirely different algorithm; a zero
 limit must coincide with little-o (hence big-O), a finite nonzero limit
 with big-O but not little-o, an infinite limit with neither.  Ampliation is
 modelled by the continuous surrogate n -> n/m, which preserves the
-zero/finite/infinite trichotomy.
+zero/finite/infinite trichotomy.  The classes a symbolic No prints are
+checked the same way: each side over its printed class has a finite nonzero
+limit.
 """
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -137,3 +140,37 @@ def test_certified_constants_reach_the_symbolic_limit():
         v = big_o(a, b)
         assert v.is_yes and v.witness.constant >= 2 * lim * (1 - 1e-12), (op.render_seq(a), lim)
         assert log_sup_ratio(a, b) >= math.log(lim) - 1e-12, (op.render_seq(a), lim)
+
+
+def class_to_sympy(text):
+    """The representative of a class printed by ``growth.render_class``."""
+    out = sympy.Integer(1)
+    for factor in text.split(" "):
+        rate = re.fullmatch(r"\((\d+/\d+)\)\^(?:n|\((\d*)n(?:/(\d+))?\))", factor)
+        if rate:
+            exponent = sympy.Rational(int(rate[2] or 1), int(rate[3] or 1))
+            out *= sympy.Rational(rate[1]) ** (exponent * N)
+            continue
+        base, _, power = factor.rpartition("^")
+        if factor != "1":
+            out *= {"n": N, "log(n+1)": sympy.log(N + 1)}[base] ** sympy.Rational(power.strip("()"))
+    return out
+
+
+def test_printed_classes_match_symbolic_limits():
+    # each side of a symbolic No, divided by the representative of the class
+    # its certificate prints, tends to a finite nonzero limit
+    rng = random.Random(0x0AC1E)
+    pairs = [(random_oracle_expr(rng), random_oracle_expr(rng)) for _ in range(40)]
+    checked = {}
+    for a, b in pairs:
+        for v in (big_o(a, b), little_o(a, b), op.member(a, op.Principal(b))):
+            if not v.is_no:
+                continue
+            classes = re.search(r"left class (.+), right class (.+)$", v.certificate.note)
+            for side, text in zip((a, b), classes.groups()):
+                if (side, text) not in checked:
+                    lim = sympy.limit(to_sympy(side) / class_to_sympy(text), N, sympy.oo)
+                    checked[side, text] = lim
+                    assert lim.is_finite and lim.is_positive, (op.render_seq(side), text, lim)
+    assert len(checked) >= 30

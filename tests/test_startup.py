@@ -63,7 +63,7 @@ def test_import_of_the_cli_loads_none_of_them():
 def test_symbolic_questions_load_none_of_them():
     assert _loaded_after(
         ["member", "geo(1/3)", "prin(geo(1/2))"],
-        ["member", "pow(2)", "prin(pow(3))", "--json"],  # a No samples its evidence, without the fallback
+        ["member", "pow(2)", "prin(pow(3))", "--json"],  # a No names its two classes, without the fallback
         ["member", "fin(3,2)", "pow(prin(geo(1/2)),3)", "--window", "4:64"],
         ["soft", "geo(1/2)", "KH"],
         ["soft", "pow(1)", "prin(pow(1/2))"],

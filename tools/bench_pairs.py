@@ -3,7 +3,8 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --topic NAME --title TEXT \\
         [--workloads cli-oneshot,compare-yes,deep-exact,softness] [--seeds 801-810] [--seconds S] \\
-        [--claim WORKLOAD:METRIC:FRACTION] [--startup-repeats N] [--in-process WORKLOAD:ROUNDS,...] [--host TEXT]
+        [--claim WORKLOAD:METRIC:FRACTION] [--startup-repeats N] [--in-process WORKLOAD:ROUNDS,...]
+        [--calls WORKLOAD:ROUNDS,...] [--host TEXT]
 
 Each checkout is a directory holding ``src/``, ``perfbench/`` and
 ``BENCHMARK.json`` (a ``git clone`` or ``git archive`` of a commit).  The
@@ -39,6 +40,15 @@ ROUNDS rounds from the checkout's ``perfbench/workloads.py``, asks its
 warm-up questions and times the rest in one loop, in the same alternating
 order.  Its metric is ``verdicts_per_s``, compared like the end-to-end
 metrics.
+
+The call-count section (``--calls``, one WORKLOAD:ROUNDS entry per library
+workload) counts work instead of timing it: per side and for each of the
+hash seeds 0, 1 and 2, one fresh interpreter builds the workload's list for
+the first seed, asks its warm-up questions, and runs the timed ones under
+``cProfile``.  It gives the total number of calls, the calls per question,
+whether the total was the same under every hash seed, and the ten functions
+called most often.  A count does not depend on the host, so one run per
+hash seed suffices.
 
 The file, at the root of the checkout that holds this script, is rewritten
 after every workload, so an interrupted run keeps what it measured.  Needs
@@ -126,8 +136,9 @@ def measure_workload(sides: dict, workload: str, seeds: list[int], seconds: int,
     }
 
 
-# one in-process run: argv is the checkout, the workload, the seed and the number of rounds
-IN_PROCESS_CHILD = """
+# the start of a child run: argv is the checkout, the workload, the seed and the
+# number of rounds; it builds the question list and asks the warm-up questions
+CHILD_SETUP = """
 import json, sys, time
 root, workload, seed, rounds = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 sys.path[:0] = [root + "/src", root + "/perfbench"]
@@ -138,6 +149,10 @@ for q in plan.warmup:
         q.ask()
     except Exception:
         pass
+"""
+
+# one in-process run
+IN_PROCESS_CHILD = CHILD_SETUP + """
 answers, clock = [], time.perf_counter
 start = clock()
 for q in plan.timed:
@@ -167,6 +182,47 @@ def measure_in_process(sides: dict, workload: str, seeds: list[int], rounds: int
         "failed_per_run": {side: [r["failed"] for r in runs[side]] for side in SIDES},
         "attempted": [r["attempted"] for r in runs["parent"]],
     }
+
+
+# one run under cProfile
+CALLS_CHILD = CHILD_SETUP + """
+import cProfile, pstats
+profile = cProfile.Profile()
+profile.enable()
+for q in plan.timed:
+    try:
+        q.ask()
+    except Exception:
+        pass
+profile.disable()
+stats = pstats.Stats(profile)
+top = sorted(stats.stats.items(), key=lambda kv: -kv[1][1])[:10]
+name = lambda key: f"{'/'.join(key[0].rsplit('/', 2)[-2:])}:{key[1]}({key[2]})"
+print(json.dumps({"attempted": len(plan.timed), "total_calls": stats.total_calls,
+                  "top": [[name(key), value[1]] for key, value in top]}))
+"""
+
+
+def measure_calls(sides: dict, workload: str, seed: int, rounds: int) -> dict:
+    out = {"seed": seed, "rounds": rounds}
+    for side in SIDES:
+        runs = []
+        for hash_seed in (0, 1, 2):
+            env = {**os.environ, "PYTHONHASHSEED": str(hash_seed)}
+            argv = [sys.executable, "-c", CALLS_CHILD, str(sides[side]), workload, str(seed), str(rounds)]
+            proc = subprocess.run(argv, capture_output=True, text=True, check=True, env=env)
+            runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        first = runs[0]
+        out[side] = {
+            "attempted": first["attempted"],
+            "total_calls": first["total_calls"],
+            "calls_per_question": round(first["total_calls"] / first["attempted"], 1),
+            "same_under_hash_seeds_0_1_2": all(r["total_calls"] == first["total_calls"] for r in runs),
+            "top_functions": first["top"],
+        }
+    p, c = out["parent"]["total_calls"], out["change"]["total_calls"]
+    out["relative_change"] = round((c - p) / p, 4) if p else 0.0
+    return out
 
 
 def _wall_ms(argv: list[str], env: dict) -> float:
@@ -248,6 +304,7 @@ def parse_args(argv):
     p.add_argument("--claim", default=None, help="WORKLOAD:METRIC:FRACTION")
     p.add_argument("--startup-repeats", type=int, default=15)
     p.add_argument("--in-process", default="", help="WORKLOAD:ROUNDS,... of library workloads to time in-process")
+    p.add_argument("--calls", default="", help="WORKLOAD:ROUNDS,... of library workloads to count calls of")
     p.add_argument("--host", default="", help="a note on the host")
     return p.parse_args(argv)
 
@@ -286,6 +343,12 @@ def main(argv=None) -> int:
         for entry in args.in_process.split(","):
             workload, rounds = entry.split(":")
             doc["in_process"][workload] = measure_in_process(sides, workload, args.seeds, int(rounds), metric)
+            write()
+    if args.calls:
+        doc["calls"] = {}
+        for entry in args.calls.split(","):
+            workload, rounds = entry.split(":")
+            doc["calls"][workload] = measure_calls(sides, workload, args.seeds[0], int(rounds))
             write()
     print(out)
     return 0
