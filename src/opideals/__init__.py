@@ -5,10 +5,10 @@ of principal and finitely generated subideals, working on the sequence
 coordinates that characterize an operator ideal.  All values are immutable
 and all operations are pure, so everything here is safe to share across
 threads.  The only writes, an expression node memoising its own profile and
-log envelope, store the same value whichever thread makes them; a node's
-profile memo may be the very (frozen) ``Profile`` object of one of its
-children, which no one ever writes to.  A node's hash is computed afresh on
-each call and kept nowhere.
+log envelope, store the same value whichever thread makes them: a memo slot
+holds None until a thread that reads None folds the node.  A node's profile
+memo may be the (frozen) ``Profile`` of one of its children, which no one
+ever writes to.  A node's hash is computed afresh on each call and kept nowhere.
 
 Importing the package loads the layers every question uses: ``sequences``,
 ``growth``, ``envelope``, ``compare``, ``ideals`` and ``grammar``.  The

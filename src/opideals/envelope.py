@@ -92,6 +92,7 @@ SLACK = 2.0**-36
 LOG_LOG_2 = math.log(math.log(2.0))
 LN2 = math.log(2.0)
 MAX_CONSTANT_BITS = 14_000  # 2^14000 has 4,215 digits, within the 4,300 Python prints by default
+FINITE = ()  # the envelope memo of a node of finite support: not None, and falsy unlike (lo, hi)
 
 
 def _out(lo: float, hi: float, scale: float) -> tuple[float, float]:
@@ -252,14 +253,13 @@ def envelope(e: SeqExpr) -> tuple[float, float]:
     """The log envelope (lo, hi) of a node of infinite support (module docstring).
 
     ``sequences.fold`` with the rules ``_ENVELOPE`` fills the ``_envelope``
-    slot of every node below e, with None for the nodes of finite support.
+    slot of every node below e that holds None, with ``FINITE`` (not None:
+    they too are folded once) for the nodes of finite support.
     """
     if profile(e).support is not None:
         raise ValueError("only sequences of infinite support have an envelope")
-    try:
-        return e._envelope
-    except AttributeError:
-        return fold(e, _ENVELOPE, "_envelope")
+    env = e._envelope
+    return fold(e, _ENVELOPE, "_envelope") if env is None else env
 
 
 def _shift(env, add_lo: float, add_hi: float) -> tuple[float, float]:
@@ -268,22 +268,22 @@ def _shift(env, add_lo: float, add_hi: float) -> tuple[float, float]:
 
 
 def _scale_envelope(e: Scale, env):
-    if env is None:
-        return None
+    if not env:
+        return FINITE
     (lo, hi), lf = env, _log_fraction(e.factor)
     return _out(lo + lf, hi + lf, abs(lo) + abs(hi) + abs(lf))
 
 
 def _product_envelope(e: Product, a, b):
-    if a is None or b is None:
-        return None
+    if not a or not b:
+        return FINITE
     (la, ha), (lb, hb) = a, b
     return _out(la + lb, ha + hb, abs(la) + abs(lb) + abs(ha) + abs(hb))
 
 
 def _ampliate_envelope(e: Ampliate, env):
-    if env is None:
-        return None
+    if not env:
+        return FINITE
     c, m = e.inner._profile.growth, e.order
     p, q, D = float(c.power), float(c.logpower), math.log(math.log(m + 1)) - LOG_LOG_2
     rate = (1 - 1 / m) * _log_rate_lo(c, 0.0)
@@ -291,8 +291,8 @@ def _ampliate_envelope(e: Ampliate, env):
 
 
 def _decimate_envelope(e: Decimate, env):
-    if env is None:
-        return None
+    if not env:
+        return FINITE
     c, k = e.inner._profile.growth, e.step
     p, q, E = float(c.power), float(c.logpower), math.log(math.log(k + 1)) - LOG_LOG_2
     return _shift(env, -p * math.log(k) + min(0.0, -q * E), -p * math.log(k) + max(0.0, -q * E))
@@ -300,7 +300,7 @@ def _decimate_envelope(e: Decimate, env):
 
 def _join_envelope(e: Sum | Max, kids: tuple, summed: bool):
     if e._profile.support is not None:
-        return None
+        return FINITE
     node = e._profile.growth
     dom_lo, parts = -math.inf, []
     for kid, env in zip((e.left, e.right), kids):
@@ -326,11 +326,11 @@ def _join_envelope(e: Sum | Max, kids: tuple, summed: bool):
     return _out(dom_lo, hi, abs(dom_lo) + abs(hi))
 
 
-# node type -> the envelope of such a node from its children's, None for a finite support
+# node type -> the envelope of such a node from its children's, FINITE for a finite support
 _ENVELOPE = {
     PowerLog: lambda e: (0.0, 0.0),
     Geometric: lambda e: (0.0, 0.0),
-    Finite: lambda e: None,
+    Finite: lambda e: FINITE,
     Scale: _scale_envelope,
     Ampliate: _ampliate_envelope,
     Decimate: _decimate_envelope,

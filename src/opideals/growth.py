@@ -50,7 +50,7 @@ ZERO = Fraction(0)
 Rate = tuple[tuple[Fraction, Fraction], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GrowthClass:
     """The class rate^n n^-power log(n+1)^-logpower of a sequence of infinite support.
 
@@ -69,7 +69,7 @@ class GrowthClass:
         return not self.rate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Profile:
     """Support size (None = infinite) plus the growth class of the tail."""
 
@@ -185,7 +185,7 @@ def profile(e: SeqExpr) -> Profile:
     """Support size and growth class of the sequence ``e`` denotes.
 
     ``sequences.fold`` with the rules ``_PROFILE`` fills the ``_profile``
-    slot of each node that lacks one, so depth is bounded only by memory.
+    slot of each node that holds None, so depth is bounded only by memory.
     A global cache keyed by the tree would hash the tree on every lookup,
     compare it on a hit, and keep every tree it has seen alive; the memo on
     the node costs none of that and dies with it.
@@ -197,10 +197,8 @@ def profile(e: SeqExpr) -> Profile:
     finite side the one of the smaller support.  So a chain of such nodes
     holds one ``Profile`` per distinct class, not one per node.
     """
-    try:
-        return e._profile
-    except AttributeError:
-        return fold(e, _PROFILE, "_profile")
+    p = e._profile
+    return fold(e, _PROFILE, "_profile") if p is None else p
 
 
 def _ampliate_profile(e: Ampliate, p: Profile) -> Profile:
@@ -225,8 +223,9 @@ def _join_profile(e: Sum | Max, pa: Profile, pb: Profile) -> Profile:
         return pb
     if pb.support is not None:
         return pa
-    # the classes are totally ordered: the one that decays more slowly
-    return pb if class_big_o(pa.growth, pb.growth) else pa
+    # the classes are totally ordered: the one that decays more slowly; two of rate one compare directly
+    a, b = pa.growth, pb.growth
+    return pb if (class_big_o(a, b) if a.rate or b.rate else _power_log_dominated(a, b, False)) else pa
 
 
 def _product_profile(e: Product, pa: Profile, pb: Profile) -> Profile:

@@ -103,7 +103,7 @@ def sampled_compare(a: SeqExpr, b: SeqExpr, strict: bool, settings: Settings) ->
         # the sampled window starts past both supports, where the ratio is 0/0; a No names that part
         v = _finite_supports(a, b, pa.support, pb.support, strict, settings)
         if strict:
-            v = Verdict.no(replace(v.certificate, window=(max(pa.support, pb.support), settings.window_hi)))
+            v = Verdict.no(replace(v.certificate, window=(max(pa.support, pb.support) + 1, settings.window_hi)))
         return v
     if pa.support is not None:
         # the window may start past the left support and sample only zeros

@@ -43,6 +43,8 @@ class DomainError(ValueError):
 
 
 def as_fraction(x: RationalLike, what: str = "value") -> Fraction:
+    if type(x) is Fraction:
+        return x  # immutable; ``Fraction(x)`` would copy it after a slow check against the numbers ABCs
     try:
         if isinstance(x, float):
             return Fraction(x).limit_denominator(10**12) if not x.is_integer() else Fraction(int(x))
@@ -55,10 +57,10 @@ class Node:
     """Base of every expression node: the sequences here, the ideal descriptions in ``ideals``.
 
     Nodes are frozen: assigning or deleting an attribute raises
-    ``FrozenInstanceError`` (an ``AttributeError``), so only
-    ``object.__setattr__`` writes a field or a memo slot.  ``pickle`` and
-    ``copy`` restore the fields that way too, from a state that holds the
-    fields only.
+    ``FrozenInstanceError`` (an ``AttributeError``), so only a slot's
+    descriptor writes a field or a memo slot (``_memos``).  ``pickle`` and
+    ``copy`` rebuild a node with its kind's ``__init__``, from a state that
+    holds the fields only, so the memo slots start at None there too.
 
     ``==``, ``hash`` and ``repr`` never recurse.  ``==`` compares each
     distinct pair of nodes once, with a stack; ``hash`` is a ``fold`` that
@@ -69,6 +71,7 @@ class Node:
     """
 
     __slots__ = ()
+    _memos: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -80,8 +83,7 @@ class Node:
         return [getattr(self, name) for name in self.__match_args__]
 
     def __setstate__(self, state):
-        for name, value in zip(self.__match_args__, state):
-            object.__setattr__(self, name, value)
+        self.__init__(*state)  # the fields, checked again, and the memo slots at None
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -116,10 +118,10 @@ class SeqExpr(Node):
 
     The slots ``_profile`` and ``_envelope`` are not fields: ``growth.profile``
     memoises the node's profile in the first and ``envelope.envelope`` its log
-    envelope in the second.
+    envelope in the second.  Both start at None, before the first fold.
     """
 
-    __slots__ = ("_profile", "_envelope")
+    __slots__ = _memos = ("_profile", "_envelope")
 
 
 # node type -> its fold children, left to right, and its hash rule; ``node`` fills both
@@ -134,30 +136,26 @@ def node(*children: str):
 
     ``dataclass`` only records the fields, their ``__match_args__`` and the
     slots; it generates no method.  The one generated method is ``__init__``,
-    which writes each field with ``object.__setattr__`` (``Node`` refuses any
-    other write) and then calls ``__post_init__`` if the kind has one.
+    which writes each field and then None to each memo slot through the
+    slot's own descriptor, bound once per kind (``Node`` refuses any other
+    write), and then calls ``__post_init__`` if the kind has one.
     """
 
     def make(cls):
         names = list(cls.__dict__.get("__annotations__", {}))
         defaults = [cls.__dict__[name] for name in names if name in cls.__dict__]
-        body = [f"    _set(self, {name!r}, {name})" for name in names]
-        if hasattr(cls, "__post_init__"):
+        body = [f"    set{n}(self, {n})" for n in names] + [f"    set{m}(self, None)" for m in cls._memos]
+        if getattr(cls, "__post_init__", None):
             body.append("    self.__post_init__()")
-        namespace = {"_set": object.__setattr__}
+        namespace = {}  # the globals of __init__: its slot setters, bound once the slotted class exists
         exec(f"def __init__(self, {', '.join(names)}):\n" + "\n".join(body or ["    pass"]), namespace)
-        init = namespace["__init__"]
+        cls.__init__ = init = namespace["__init__"]
         init.__defaults__ = tuple(defaults) or None
         init.__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = init
         cls = dataclass(init=False, slots=True, eq=False, repr=False)(cls)
-        if not children:
-            _CHILDREN[cls] = lambda e: ()
-        elif len(children) == 1:
-            (name,) = children
-            _CHILDREN[cls] = lambda e: (getattr(e, name),)
-        else:
-            _CHILDREN[cls] = operator.attrgetter(*children)
+        namespace.update({f"set{name}": getattr(cls, name).__set__ for name in (*names, *cls._memos)})
+        get = operator.attrgetter(*children) if children else None
+        _CHILDREN[cls] = get if len(children) > 1 else (lambda e: (get(e),)) if children else (lambda e: ())
         others = [name for name in cls.__match_args__ if name not in children]
         # a child enters by its hash, which fold has computed: hashing the child itself would recurse
         _HASH[cls] = lambda e, *kids: hash((*kids, *[getattr(e, name) for name in others]))
@@ -381,34 +379,37 @@ def fold(e: Node, rules: dict[type, Callable[..., T]], slot: str | None = None) 
     """``rules[type(node)](node, *values of its fold children)`` at e, computed children first.
 
     One post-order walk with an explicit stack, so depth is bounded only by
-    memory.  With ``slot`` (``"_profile"`` or ``"_envelope"``) every node
-    keeps its value in that slot across calls, and a node that has one is
-    not entered again; otherwise (the hash, for one) the values live in a
-    dict keyed by ``id`` for this call.  Either way a node shared by several
-    parents, such as the squares that reduce ``pow(I, n)``, is folded once,
-    so a fold costs one rule call per distinct node.  Threads that fill one
-    slot at once store equal values.
+    memory: a node is pushed to enter it, ``(node, kids)`` to leave it.
+    With ``slot`` (``"_profile"`` or ``"_envelope"``) every node keeps its
+    value in that slot across calls, and None there means "not folded", so
+    these rules never return None; otherwise (the hash, or the oracle's
+    rules that may return None) the values live in a dict keyed by ``id``
+    for this call.  Either way a node shared by several parents, such as
+    the squares that reduce ``pow(I, n)``, is folded once, so a fold costs
+    one rule call per distinct node.  Threads that fill one slot at once
+    store equal values.
     """
     memo: dict[int, T] = {}
     value_of = (lambda n: memo[id(n)]) if slot is None else operator.attrgetter(slot)
-    todo: list[tuple[Node, tuple[Node, ...] | None]] = [(e, None)]
+    store = None if slot is None else getattr(type(e), slot).__set__
+    todo: list = [e]
     while todo:
-        node, kids = todo.pop()
-        if kids is None:  # entering
-            if (id(node) in memo) if slot is None else hasattr(node, slot):
-                continue  # folded already, or a shared node pushed twice
-            if type(node) not in rules:
-                raise TypeError(f"not a node this fold knows: {node!r}")
-            kids = _CHILDREN[type(node)](node)
-            if kids:  # the children come first
-                todo.append((node, kids))
-                todo += [(k, None) for k in reversed(kids)]
-                continue
+        node = todo.pop()
+        if type(node) is tuple:  # leaving: its children are folded
+            node, kids = node
+        elif (id(node) in memo) if slot is None else value_of(node) is not None:
+            continue  # folded already, or a shared node pushed twice
+        elif type(node) not in rules:
+            raise TypeError(f"not a node this fold knows: {node!r}")
+        elif kids := _CHILDREN[type(node)](node):  # the children come first
+            todo.append((node, kids))
+            todo += reversed(kids)
+            continue
         value = rules[type(node)](node, *map(value_of, kids))
         if slot is None:
             memo[id(node)] = value
         else:
-            object.__setattr__(node, slot, value)
+            store(node, value)
     return value_of(e)
 
 

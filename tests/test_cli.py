@@ -143,6 +143,16 @@ def test_soft_huge_finite_support_answers_at_once(capsys):
     assert "t_witness: amp(1000000000000,fin(1))" in out
 
 
+def test_numbers_of_up_to_4300_digits_are_read(capsys):
+    # the input limit the README states: CPython's int_max_str_digits, 4,300 by default
+    code, out, err = run(capsys, "member", f"scale(1/{'9' * 4300},pow(1))", "prin(pow(1))")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "verdict: yes"
+    code, out, err = run(capsys, "member", f"scale(1/{'9' * 4301},pow(1))", "prin(pow(1))")
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad number '1/999") and len(err.splitlines()) == 1
+
+
 def test_ten_thousand_level_member_answers(capsys):
     deep = "sum(" * 10_000 + "pow(1)" + ",pow(2))" * 10_000
     code, out, err = run(capsys, "member", deep, "prin(pow(2))")

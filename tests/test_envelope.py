@@ -61,9 +61,9 @@ def test_no_answer_builds_no_envelope_and_the_slot_is_no_field():
     a = op.seq_sum(op.power_log(1), op.ampliate(op.power_log(2), 3))
     b = op.seq_max(op.power_log(2), op.scale(3, op.geometric(Fraction(1, 2))))
     assert op.big_o(a, b).is_no and op.member(a, op.Principal(b)).is_no
-    assert not hasattr(a, "_envelope") and not hasattr(b, "_envelope")
+    assert a._envelope is None and b._envelope is None
     before = hash(b), repr(b)
-    assert op.big_o(b, a).is_yes and hasattr(b, "_envelope")
+    assert op.big_o(b, a).is_yes and b._envelope is not None
     assert (hash(b), repr(b)) == before
     assert "_envelope" not in {f.name for f in dataclasses.fields(b)}
 

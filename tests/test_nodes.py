@@ -79,7 +79,7 @@ def test_pickle_and_copy_round_trips(root):
         assert repr(clone) == repr(root)
     rebuilt = pickle.loads(pickle.dumps(SEQ))
     assert rebuilt is not SEQ and rebuilt.left is not SEQ.left
-    assert not hasattr(rebuilt, "_profile")
+    assert rebuilt._profile is None
     assert op.member(rebuilt, op.Principal(P1)) == op.member(SEQ, op.Principal(P1))
 
 

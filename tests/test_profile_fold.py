@@ -1,26 +1,113 @@
-"""The profile fold: shared ``Profile`` memos, integer exponent comparison, bounded memory.
+"""The profile fold: memo slots, shared ``Profile`` memos, integer exponent comparison, bounded memory.
 
-A node whose class is a child's keeps the child's own frozen ``Profile``
-object, so a deep chain holds one per distinct class.  The power and log
-exponents are compared by integer cross-multiplication; these tests hold
-it to ``Fraction`` comparison.  And a long-lived process that keeps asking
-fresh questions keeps its memory bounded.
+Every node starts with its memo slots at None, which ``sequences.fold``
+reads as "not folded yet", and a clone made by ``pickle`` or ``copy``
+starts the same way.  A fold calls one rule per distinct node, ever: a
+slot fold leaves no slot None (a node of finite support keeps a marker as
+its envelope), and a fold whose rules may return None keeps its values
+in a dict.  A node whose class is a child's keeps the child's own frozen
+``Profile`` object, so a deep chain holds one per distinct class.  The
+power and log exponents are compared by integer cross-multiplication;
+these tests hold it to ``Fraction`` comparison.  And a long-lived process
+that keeps asking fresh questions keeps its memory bounded.
 """
 
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
 
 import opideals as op
+from opideals import envelope as envelope_module
+from opideals import growth, oracle
+from opideals.envelope import envelope
 from opideals.growth import GrowthClass, Profile, class_big_o, class_little_o, min_ampliation_order, profile
+from opideals.sequences import Node
 
 from conftest import random_atom
 
 ATOMS = (op.power_log(Fraction(3, 2)), op.power_log(Fraction(1, 2), 1), op.power_log(Fraction(1, 2), 2),
          op.power_log(2, Fraction(1, 2)))
+
+
+def _nodes(root: Node) -> dict[int, Node]:
+    """The distinct nodes below root (root included), by id."""
+    todo, seen = [root], {}
+    while todo:
+        x = todo.pop()
+        if id(x) not in seen:
+            seen[id(x)] = x
+            todo += [getattr(x, name) for name in x.__match_args__ if isinstance(getattr(x, name), Node)]
+    return seen
+
+
+def _counting(rules: dict, calls: list) -> dict:
+    """``rules`` with each rule appending the id of the node it is called on to ``calls``."""
+
+    def wrap(rule):
+        def counted(e, *kids):
+            calls.append(id(e))
+            return rule(e, *kids)
+
+        return counted
+
+    return {kind: wrap(rule) for kind, rule in rules.items()}
+
+
+def test_clones_start_with_empty_memo_slots_and_fold_alike():
+    e = op.parse_seq("sum(max(scale(3,amp(2,pow(1,1/2))),dec(3,geo(1/2))),prod(fin(3,2,1),pow(1/2)))")
+    assert e._profile is None and e._envelope is None
+    assert op.big_o(e, op.power_log(Fraction(1, 4))).is_yes  # a certified constant: both slots filled
+    assert all(n._profile is not None and n._envelope is not None for n in _nodes(e).values())
+    for clone in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        new = [n for i, n in _nodes(clone).items() if i not in _nodes(e)]  # copy.copy shares the children
+        assert clone in new
+        assert all(n._profile is None and n._envelope is None for n in new)
+        assert profile(clone) == profile(e) and envelope(clone) == envelope(e)
+
+
+def test_finite_children_keep_their_envelope(monkeypatch):
+    t = op.parse_seq("sum(max(amp(2,fin(3,2,1)),pow(1)),sum(prod(fin(2,1),geo(1/2)),fin(5)))")
+    envelope(t)
+    finite = [n for n in _nodes(t).values() if profile(n).support is not None]
+    assert len(finite) == 6 and all(n._envelope == envelope_module.FINITE for n in finite)
+    calls = []
+    monkeypatch.setattr(envelope_module, "_ENVELOPE", _counting(envelope_module._ENVELOPE, calls))
+    envelope(t)
+    assert calls == []
+    # new parents over the finite children: their own rules only, none below them
+    u = op.seq_sum(op.seq_max(t.right, t.left.left), op.power_log(2))
+    envelope(u)
+    assert sorted(calls) == sorted(map(id, (u, u.left, u.right)))
+
+
+def test_a_reduced_power_folds_each_distinct_node_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(growth, "_PROFILE", _counting(growth._PROFILE, calls))
+    reduced = op.reduce_ideal(op.parse_ideal("pow(prin(pow(1)),1099511627776)"))  # 2^40
+    gen = reduced.generator
+    assert profile(gen) == Profile(None, GrowthClass((), Fraction(2**40), Fraction(0)))
+    distinct = _nodes(gen)
+    assert len(distinct) == 41  # the atom and 40 squares
+    assert sorted(calls) == sorted(distinct)
+    profile(gen)
+    assert len(calls) == 41
+
+
+def test_folds_whose_rules_return_none_call_each_rule_once(monkeypatch):
+    x = op.seq_sum(op.power_log(1), op.geometric(Fraction(1, 2)))
+    y = op.seq_product(x, x)
+    z = op.seq_product(y, op.seq_product(y, y))
+    assert len(_nodes(z)) == 6
+    for name, ask in (("_SQRT", oracle._exact_sqrt_expr), ("_RATIO", oracle._constant_ratio)):
+        calls = []
+        monkeypatch.setattr(oracle, name, _counting(getattr(oracle, name), calls))
+        assert ask(z) is None
+        assert sorted(calls) == sorted(_nodes(z)), name
 
 
 def _chain(levels: int) -> op.SeqExpr:

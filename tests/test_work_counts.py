@@ -6,11 +6,13 @@ levels deep (``member``, ``big_o`` and ``little_o``), 30 softness Yes
 questions and 23 softness No questions.  Every tree is built afresh and the
 package's three ``lru_cache``s are cleared, so the count does not depend on
 the tests that ran before.  The count is the same under every hash seed.
-It was 39,045 while each symbolic No sampled four ratios as evidence, and
-25,040 once a No named its two classes instead; the ceiling is 10% above
-the latter.  A change that needs more raises it and says why.  An
-accidental quadratic walk, or evidence sampled again on a No, shows in the
-count.
+It was 39,045 while each symbolic No sampled four ratios as evidence,
+25,040 once a No named its two classes instead, and 17,446 once memo
+slots started at None, so that ``fold`` probes a slot in one C call, and a
+join of two rate-one classes compared their exponents directly; the
+ceiling is 10% above the latter.  A change that needs more raises it and
+says why.  An accidental quadratic walk, a tree walked twice, or evidence
+sampled again on a No, shows in the count.
 
     PYTHONPATH=src python3 tests/test_work_counts.py    # prints the count
 """
@@ -24,7 +26,7 @@ import opideals as op
 from opideals import compare, growth, sequences
 
 PACKAGE = str(Path(op.__file__).resolve().parent)
-COUNT = 25_040
+COUNT = 17_446
 CEILING = int(COUNT * 1.1)
 
 SLOW = [(p, q) for p in (F(1, 2), F(1), F(3, 2)) for q in (F(0), F(1, 2), F(1))]
