@@ -6,10 +6,10 @@ the smallest complex-linear one.  They sit in the chain
 
     J(S)J <= JS+SJ+J(S)J <= <S>_J <= (S)_J^R <= (S)_J <= (S)
 
-and a single softness bit controls the whole picture: when the principal
-ideal (S) equals its product with J, everything from the nucleus up
-collapses onto (S); when it does not, the last four positions are pairwise
-strict and the plain-ideal object is not even closed under scalars.
+and two bits decide every link.  When the principal ideal (S) equals its
+product with J (softness), everything from the nucleus up collapses onto
+(S); when it does not, every link is strict but the first, which is equal
+exactly when J is idempotent, and <S>_J is not even closed under scalars.
 """
 
 from __future__ import annotations
@@ -18,22 +18,21 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .compare import DEFAULT_SETTINGS, Certificate, Settings, Verdict, Witness, big_o
+from .grammar import render_seq
+from .growth import profile, render_class
 from .ideals import (
     FH,
     IdealDesc,
-    IdealProduct,
     PreconditionError,
     Principal,
     SoftInterior,
     SoftnessResult,
-    _equal_reduced,
-    _member_reduced,
     _require_member_reduced,
     _soft_reduced,
     is_soft,
     reduce_ideal,
 )
-from .sequences import SeqExpr, power_log, seq_product, seq_sum, support
+from .sequences import SeqExpr, power_log, seq_sum, support
 
 CHAIN_POSITIONS = (
     "J(S)J",
@@ -81,10 +80,10 @@ def classify_principal(
 ) -> SubidealReport:
     """Full report for the three principal subideals generated by S inside J.
 
-    The members-of-J precondition is enforced.  A soft generator collapses
-    the entire chain onto the principal ideal (S); a non-soft one makes the
-    last four positions pairwise strict and leaves only the innermost link
-    to a dedicated probe.  J is reduced, and S checked against it, once.
+    The members-of-J precondition is checked, and J reduced, once.  A soft
+    generator collapses the chain onto the principal ideal (S); otherwise the
+    last four links are strict and the first is equal exactly when J is
+    idempotent.  Only ``mode="numeric"`` leaves softness, and links, Unknown.
     """
     red = reduce_ideal(ideal)
     _require_member_reduced(s_expr, red, "classification needs S in J; membership verdict", settings, mode)
@@ -96,8 +95,7 @@ def classify_principal(
         relations = [EQUAL] * 5
         bh = Verdict.yes(verdict.witness)
     else:
-        probe = _probe_reduced(s_expr, red, settings, mode)
-        first = EQUAL if probe.is_yes else STRICT if probe.is_no else UNKNOWN
+        first = EQUAL if _idempotent(red) else STRICT if verdict.is_no else UNKNOWN
         # S = AS + SB + sum A_i S B_i would make (S) soft, so the second link
         # is strict exactly when softness fails
         relations = [first] + [STRICT if verdict.is_no else UNKNOWN] * 4
@@ -175,47 +173,48 @@ def probe_chain_link(
 ) -> Verdict:
     """Does J(S)J already swallow JS + SJ?
 
-    Yes for idempotent J (then JS, SJ sit inside J(S) = J(S)J); No when the
-    canonical witness gen(J)*S escapes the reduced J(S)J; Unknown when
-    neither test is conclusive.
+    Yes exactly when J is idempotent or (S) is J-soft.  A reduced J is
+    idempotent exactly when it is 0, F(H) or K(H), or its generator g has
+    finite support or rate rho < 1 (then g = O(D_3 g^2), of rate rho^(2/3),
+    so (g) = (g^2) = (g)K(H)).  Unknown only under ``mode="numeric"``.
+
+    Proof, equal.  Ideals of B(H) commute under products.  If S is soft,
+    (S) = (S)J, so J(S)J = (S)J^2 = (S), which contains JS + SJ.  If J is
+    idempotent, JS lies in J(S) = J^2(S) = J(S)J, and so does SJ.
+
+    Proof, strict.  Else s and g have rate one, and g has class n^-p
+    log(n+1)^-q with (p, q) != (0, 0).  Let r = 1 for J = (g), and for
+    J = (g)K(H) let r = n^(-p/2) when p > 0 and log(n+1)^(-q/2) otherwise;
+    then g*r lies in J.  SA, with A = diag(g*r) in the eigenbasis of |S|,
+    lies in SJ with singular values g*r*s.  J(S)J is (g^2 s), or (g^2 s)K(H)
+    for J = (g)K(H) (Calkin 1941; Dykema, Figiel, Weiss and Wodzicki, Adv.
+    Math. 185, 2004).  At rate one an ampliation changes only constants, so
+    g*r*s in J(S)J needs r/g bounded; but r/g -> infinity.
     """
     red = reduce_ideal(ideal)
     _require_member_reduced(s_expr, red, "the chain probe needs S in J; membership verdict", settings, mode)
-    return _probe_reduced(s_expr, red, settings, mode)
-
-
-def _probe_reduced(s_expr: SeqExpr, red: IdealDesc, settings: Settings, mode: str) -> Verdict:
-    """``probe_chain_link`` for S already known to lie in J, given in reduced form."""
-    squared = reduce_ideal(IdealProduct(red, red))
-    idem = _equal_reduced(red, squared, settings, mode)
-    if idem.is_yes:
+    if _idempotent(red):
         return Verdict.yes(Witness(note="J is idempotent, so JS and SJ lie inside J(S)J"))
-    gen = _ideal_witness_sequence(red)
-    if gen is None:
-        return Verdict.unknown("no canonical witness sequence for this ideal form")
-    witness_seq = seq_product(gen, s_expr)
-    nucleus = reduce_ideal(IdealProduct(red, IdealProduct(Principal(s_expr), red)))
-    inside = _member_reduced(witness_seq, nucleus, settings, mode)
-    if inside.is_no:
-        from .grammar import render_seq
-
-        # gen(J) is named, not rendered: the reduced generator of pow(J, n) has a text exponential in n's bits
-        note = f"witness gen(J)*{render_seq(s_expr)} lies in JS but not in J(S)J"
-        return Verdict.no(replace(inside.certificate, note=note))
-    if inside.is_yes:
-        return Verdict.unknown(
-            "the canonical witness is absorbed by J(S)J and J is not provably idempotent"
-        )
-    return Verdict.unknown(inside.reason)
+    soft = _soft_reduced(s_expr, red, settings, mode).verdict
+    if soft.is_yes:
+        return Verdict.yes(Witness(note="(S) is J-soft, so JS and SJ lie inside (S) = J(S)J"))
+    if soft.is_unknown:
+        return Verdict.unknown(soft.reason)
+    c = profile(red.generator).growth
+    half = power_log(c.power / 2) if c.power > 0 else power_log(0, c.logpower / 2)
+    r = render_seq(half) if isinstance(red, SoftInterior) else "1"
+    # gen(J) is named, not rendered: the reduced generator of pow(J, n) has a text exponential in n's bits
+    note = (f"witness gen(J)*{r}*{render_seq(s_expr)} lies in JS but not in J(S)J: "
+            f"gen(J) has class {render_class(c)}, so {r}/gen(J) is unbounded")
+    return Verdict.no(Certificate(note=note))
 
 
-def _ideal_witness_sequence(red: IdealDesc) -> SeqExpr | None:
-    if isinstance(red, Principal):
-        return red.generator
-    if isinstance(red, SoftInterior):
-        # a member of (g)K(H) close to its boundary: the generator damped by a log
-        return seq_product(red.generator, power_log(0, 1))
-    return None
+def _idempotent(red: IdealDesc) -> bool:
+    """Is the reduced ideal equal to its square?  See ``probe_chain_link``."""
+    if not isinstance(red, (Principal, SoftInterior)):
+        return True
+    p = profile(red.generator)
+    return p.support is not None or not p.growth.rate_is_one
 
 
 def nonlinearity_witness(
@@ -229,7 +228,7 @@ def nonlinearity_witness(
 
     Yes exactly when softness fails: closing <S>_J under scalars would put
     S inside (S)J.  No (all three types coincide and are linear) when the
-    generator is soft.
+    generator is soft.  Unknown only under ``mode="numeric"``.
     """
     softness = is_soft(s_expr, ideal, settings=settings, mode=mode)
     v = softness.verdict

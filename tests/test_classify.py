@@ -130,7 +130,7 @@ def test_probe_chain_link_soft_interior_strict():
     j = IdealProduct(Principal(P1), KH())
     s = op.power_log(2)  # a genuine member of (1/n)K(H)
     v = probe_chain_link(s, j)
-    assert v.is_no  # the damped witness escapes the squared-and-softened nucleus
+    assert v.is_no  # J is not idempotent (its generator has rate one) and S is not soft, so the link is strict
 
 
 def test_nonlinearity_witness_cases():
